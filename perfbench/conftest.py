@@ -1,0 +1,10 @@
+"""Lets the benchmark's tests import its modules and this checkout's
+cascadekd: `python -m pytest perfbench`."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
