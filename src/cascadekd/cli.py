@@ -151,17 +151,24 @@ def _resolve_teacher(args, config: RunConfig) -> EncoderModel:
                        embeddings_frozen=config.pretrain.embeddings_frozen)
 
 
-def cmd_cascade(args) -> int:
+def _distill_setup(args) -> tuple[RunConfig, Path, EncoderModel, bool, Iterator[Batch]]:
+    """The setup `cascade` and `distill` share: the run config, the output
+    directory, the teacher, the dropout flag and the batch stream."""
     config = _load_run_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vocab = _load_vocab(args.corpus)
     texts = _load_texts(args.corpus)
     teacher = _resolve_teacher(args, config)
-    plan = config.cascade_plan()
     dropout = config.pretrain.dropout and not args.deterministic
     batches = _recycling_batches(texts, vocab, teacher.config.max_seq_len,
                                  config.pretrain.batch_size, config.seeds.shuffle)
+    return config, out, teacher, dropout, batches
+
+
+def cmd_cascade(args) -> int:
+    config, out, teacher, dropout, batches = _distill_setup(args)
+    plan = config.cascade_plan()
 
     with MetricsWriter(out / METRICS_FILE) as writer:
         def on_stage_done(stage_result):
@@ -186,24 +193,12 @@ def cmd_cascade(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    config = _load_run_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    vocab = _load_vocab(args.corpus)
-    texts = _load_texts(args.corpus)
-    if args.random_teacher:
-        teacher = init_random(config.model, config.seeds.cascade,
-                              embeddings_frozen=config.pretrain.embeddings_frozen)
-    else:
-        teacher = load_checkpoint(args.teacher).model
+    config, out, teacher, dropout, batches = _distill_setup(args)
     steps = args.steps if args.steps is not None else config.cascade.steps_per_stage
     plan = DistillStagePlan(
         teacher_depth=teacher.num_layers, student_depth=teacher.num_layers - 1,
         optimizer=config.pretrain_optimizer(), steps=steps,
         warmup_steps=min(config.cascade.warmup_steps, steps))
-    dropout = config.pretrain.dropout and not args.deterministic
-    batches = _recycling_batches(texts, vocab, teacher.config.max_seq_len,
-                                 config.pretrain.batch_size, config.seeds.shuffle)
     with MetricsWriter(out / METRICS_FILE) as writer:
         student, trace = run_stage(plan, teacher, batches, config.seeds.cascade,
                                    dropout=dropout, metrics=writer.write)

@@ -179,6 +179,7 @@ def default_config() -> RunConfig:
 
 
 _SECTION_FIELDS = {
+    "model": ModelConfig,
     "cascade": CascadeSection,
     "pretrain": PretrainSection,
     "finetune": FinetuneSection,
@@ -223,32 +224,19 @@ def parse_config(path) -> RunConfig:
     if not read:
         raise InvalidConfigError(f"cannot read config file {path}")
     base = default_config()
-    known_sections = set(_SECTION_FIELDS) | {"model"}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in _SECTION_FIELDS:
             raise InvalidConfigError(f"unknown section [{section}]")
-    model = base.model
-    if parser.has_section("model"):
-        model_fields = {f.name: f for f in fields(ModelConfig)}
-        values = {}
-        for key, raw in parser.items("model"):
-            if key not in model_fields:
-                raise InvalidConfigError(f"unknown key {key!r} in section [model]")
-            target = str if key == "attention_capture" else \
-                float if key == "dropout_rate" else int
-            values[key] = _coerce(raw, target, "model", key)
-        model = ModelConfig(**{**model.to_dict(), **values})
     sections = {
         name: _parse_section(parser, name, cls, getattr(base, name))
         for name, cls in _SECTION_FIELDS.items()
     }
-    return RunConfig(model=model, **sections)
+    return RunConfig(**sections)
 
 
 def write_config(path, config: RunConfig) -> None:
     """Write the configuration as a round-trippable INI file."""
     parser = configparser.ConfigParser()
-    parser["model"] = {k: str(v) for k, v in config.model.to_dict().items()}
     for name in _SECTION_FIELDS:
         section = getattr(config, name)
         parser[name] = {f.name: str(getattr(section, f.name)) for f in fields(section)}

@@ -101,23 +101,11 @@ def top_layer_init(teacher: EncoderModel) -> EncoderModel:
 # losses
 # ---------------------------------------------------------------------------
 
-def _masked_mse(student: Tensor, target: Tensor, include: Optional[np.ndarray]) -> Tensor:
-    """MSE over the elements selected by `include` (broadcastable bool);
-    the divisor is the count of included elements."""
-    if include is None:
-        return mse(student, target)
-    weights = np.broadcast_to(include, student.shape).astype(np.float64)
-    count = weights.sum()
-    diff = student - target
-    return (diff * diff * Tensor(weights)).sum() * (1.0 / count)
-
-
-def _check_same_batch(teacher: ForwardTrace, student: ForwardTrace) -> Optional[np.ndarray]:
+def _check_same_batch(teacher: ForwardTrace, student: ForwardTrace) -> np.ndarray:
     if teacher.attention_mask.shape != student.attention_mask.shape or \
             not np.array_equal(teacher.attention_mask, student.attention_mask):
         raise DimensionMismatchError("teacher and student traces come from different batches")
-    mask = student.attention_mask
-    return None if mask.all() else mask
+    return student.attention_mask
 
 
 def attention_layer_loss(teacher: ForwardTrace, student: ForwardTrace, j: int) -> Tensor:
@@ -137,10 +125,7 @@ def attention_layer_loss(teacher: ForwardTrace, student: ForwardTrace, j: int) -
             f"attention shapes differ: {a_s.shape} vs {a_t.shape}")
     target = (a_t + a_t_next) * 0.5
     mask = _check_same_batch(teacher, student)
-    if mask is None:
-        return mse(a_s, target)
-    include = mask[:, None, :, None] & mask[:, None, None, :]
-    return _masked_mse(a_s, target, include)
+    return mse(a_s, target, include=mask[:, None, :, None] & mask[:, None, None, :])
 
 
 def hidden_layer_loss(teacher: ForwardTrace, student: ForwardTrace, k: int) -> Tensor:
@@ -156,9 +141,7 @@ def hidden_layer_loss(teacher: ForwardTrace, student: ForwardTrace, k: int) -> T
         raise DimensionMismatchError(f"hidden shapes differ: {h_s.shape} vs {h_t.shape}")
     target = (h_t + h_t_next) * 0.5
     mask = _check_same_batch(teacher, student)
-    if mask is None:
-        return mse(h_s, target)
-    return _masked_mse(h_s, target, mask[:, :, None])
+    return mse(h_s, target, include=mask[:, :, None])
 
 
 def total_distill_loss(teacher: ForwardTrace, student: ForwardTrace) -> Tensor:

@@ -1,11 +1,12 @@
 """Run telemetry and result tables.
 
 Metrics are JSON Lines: one `{"loss": ..., "lr": ..., "stage": ...,
-"step": ...}` object per line, appended and flushed as training runs.
-Records carry no timestamps, so a repeated run writes byte-identical
-logs. The report renderer lays out per-language accuracies with models
-as rows (deepest first) and an AVG column recomputed as the exact
-unweighted mean.
+"step": ...}` object per line, written and flushed as training runs.
+Each writer starts a fresh file, and records carry no timestamps, so a
+repeated run into the same directory writes a byte-identical log. The
+report renderer lays out per-language accuracies with models as rows
+(deepest first) and an AVG column recomputed as the exact unweighted
+mean.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ AVG_COLUMN = "AVG"
 
 
 class MetricsWriter:
-    """Append-only JSONL writer; every record lands on disk immediately."""
+    """JSONL writer that truncates any earlier log at `path`; every record
+    lands on disk immediately."""
 
     def __init__(self, path):
-        self._fh = open(path, "a", encoding="utf-8")
+        self._fh = open(path, "w", encoding="utf-8")
 
     def write(self, record: Mapping) -> None:
         self._fh.write(json.dumps(dict(record), sort_keys=True) + "\n")

@@ -397,13 +397,7 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise TypeError("ids must be integers")
-    ctx = GatherRows(table)
-    out_data = ctx.forward(table.data, ids)
-    needs_grad = _grad_enabled and (table.requires_grad or table._ctx is not None)
-    out = Tensor(out_data, requires_grad=needs_grad)
-    if needs_grad:
-        out._ctx = ctx
-    return out
+    return GatherRows.apply(table, ids=ids)
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +435,26 @@ def softmax_rows(x: Tensor, mask=None) -> Tensor:
 
 
 class Mse(Function):
-    """Mean squared error: sum of squared differences over element count."""
+    """Mean squared error over the elements selected by `include` (all
+    when None); the divisor is the count of included elements, and
+    excluded elements add exactly 0 to the value and the gradient."""
 
-    def forward(self, x, y):
+    def forward(self, x, y, include):
         if x.shape != y.shape:
             raise ShapeMismatchError(f"mse shapes differ: {x.shape} vs {y.shape}")
         if x.size == 0:
             raise EmptyTensorError("mse of empty tensors")
         self.diff = x - y
         self.n = x.size
+        if include is not None:
+            try:
+                include = np.broadcast_to(np.asarray(include, dtype=bool), x.shape)
+            except ValueError:
+                raise ShapeMismatchError(f"mse mask does not broadcast to {x.shape}") from None
+            self.n = int(np.count_nonzero(include))
+            if self.n == 0:
+                raise AllMaskedError("mse with every element excluded")
+            self.diff = np.where(include, self.diff, 0.0)
         return np.asarray((self.diff * self.diff).sum() / self.n)
 
     def backward(self, g):
@@ -457,8 +462,8 @@ class Mse(Function):
         return base, -base
 
 
-def mse(x: Tensor, y: Tensor) -> Tensor:
-    return Mse.apply(_as_tensor(x), _as_tensor(y))
+def mse(x: Tensor, y: Tensor, include=None) -> Tensor:
+    return Mse.apply(_as_tensor(x), _as_tensor(y), include=include)
 
 
 class CrossEntropy(Function):
@@ -489,10 +494,4 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ShapeMismatchError(f"labels shape {labels.shape} does not match batch {logits.shape[0]}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise LabelOutOfRangeError(f"labels must lie in [0, {num_classes})")
-    ctx = CrossEntropy(logits)
-    out_data = ctx.forward(logits.data, labels.astype(np.int64))
-    needs_grad = _grad_enabled and (logits.requires_grad or logits._ctx is not None)
-    out = Tensor(out_data, requires_grad=needs_grad)
-    if needs_grad:
-        out._ctx = ctx
-    return out
+    return CrossEntropy.apply(logits, labels=labels.astype(np.int64))

@@ -141,6 +141,18 @@ def test_distill_single_stage(pipeline, tmp_path):
     assert len(read_metrics(out / "metrics.jsonl")) == 4
 
 
+def test_distill_rerun_rewrites_metrics(pipeline, tmp_path):
+    out = tmp_path / "rerun"
+    argv = ["distill", "--config", str(pipeline["ini"]),
+            "--corpus", str(pipeline["corpus"]), "--random-teacher",
+            "--out", str(out), "--steps", "4", "--deterministic"]
+    assert main(argv) == 0
+    first = (out / "metrics.jsonl").read_bytes()
+    assert main(argv) == 0
+    assert len(read_metrics(out / "metrics.jsonl")) == 4
+    assert (out / "metrics.jsonl").read_bytes() == first
+
+
 def test_distill_random_teacher(pipeline, tmp_path):
     out = tmp_path / "rt"
     assert main(["distill", "--config", str(pipeline["ini"]),

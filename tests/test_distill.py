@@ -257,6 +257,34 @@ def test_masked_positions_cannot_affect_loss():
     assert total_distill_loss(teacher2, student2).item() == base
 
 
+def graph_nodes(loss):
+    """Recorded ops behind `loss`."""
+    seen, stack = set(), [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t._ctx is None:
+            continue
+        seen.add(id(t))
+        stack.extend(t._ctx.parents)
+    return len(seen)
+
+
+def test_padding_does_not_change_the_loss_graph():
+    rng = np.random.default_rng(11)
+    teacher, student, arrays = random_trace_pair(rng, n=2, padded=False)
+    t_hidden, t_attn, s_hidden, s_attn, mask = arrays
+    padded = mask.copy()
+    padded[:, 3:] = False
+    nodes = []
+    for m in (mask, padded):
+        t = trace_from_arrays(t_hidden, t_attn, m)
+        s = trace_from_arrays(s_hidden, s_attn, m)
+        for h in s.hidden + s.attentions:
+            h.requires_grad = True
+        nodes.append(graph_nodes(total_distill_loss(t, s)))
+    assert nodes[0] == nodes[1]
+
+
 def test_teacher_receives_no_gradient():
     teacher = init_random(toy_config(num_layers=3), seed=5)
     student = init_random(toy_config(num_layers=2), seed=6)

@@ -154,13 +154,13 @@ def test_metrics_round_trip_and_key_order(tmp_path):
     assert records[1]["loss"] == 0.25
 
 
-def test_metrics_writer_appends(tmp_path):
+def test_metrics_writer_starts_fresh_file(tmp_path):
     path = tmp_path / "metrics.jsonl"
     with MetricsWriter(path) as writer:
         writer.write({"step": 0})
     with MetricsWriter(path) as writer:
         writer.write({"step": 1})
-    assert [r["step"] for r in read_metrics(path)] == [0, 1]
+    assert [r["step"] for r in read_metrics(path)] == [1]
 
 
 def test_metrics_reader_reports_bad_line(tmp_path):

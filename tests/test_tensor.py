@@ -130,6 +130,23 @@ def test_mse_values_and_errors():
         mse(Tensor([1.0, 2.0]), Tensor([[1.0, 2.0]]))
     with pytest.raises(EmptyTensorError):
         mse(Tensor(np.zeros((0, 2))), Tensor(np.zeros((0, 2))))
+    with pytest.raises(ShapeMismatchError):
+        mse(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), include=np.ones(2, dtype=bool))
+    with pytest.raises(AllMaskedError):
+        mse(Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 3))), include=np.zeros((2, 1), dtype=bool))
+
+
+def test_masked_mse_equals_explicit_masked_mean():
+    rng = np.random.default_rng(8)
+    x, y = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
+    include = rng.random((2, 3, 1)) < 0.6
+    include[0, 0, 0] = True
+    full = np.broadcast_to(include, x.shape)
+    expected = ((x - y) ** 2)[full].mean()
+    assert np.isclose(mse(Tensor(x), Tensor(y), include=include).item(), expected,
+                      rtol=1e-14, atol=0.0)
+    everything = np.ones((2, 3, 4), dtype=bool)
+    assert mse(Tensor(x), Tensor(y), include=everything).item() == mse(Tensor(x), Tensor(y)).item()
 
 
 def test_cross_entropy_values():
@@ -264,14 +281,27 @@ def test_softmax_grads():
 
 def test_mse_grads():
     rng = np.random.default_rng(6)
-    for _ in range(5):
+    for i in range(6):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        include = None if i % 2 else rng.random((3, 1)) < 0.5
+        if include is not None:
+            include[0] = True
 
         def build():
-            return mse(x, y)
+            return mse(x, y, include=include)
 
         check_grads(build, [x, y])
+
+
+def test_mse_excluded_entries_get_exact_zero_gradient():
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(3, 4)) * 1e6, requires_grad=True)
+    y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    include = np.array([[True], [False], [True]])
+    backward(mse(x, y, include=include))
+    assert np.all(x.grad[1] == 0.0) and np.all(y.grad[1] == 0.0)
+    assert np.all(x.grad[[0, 2]] != 0.0)
 
 
 def test_mse_hand_gradient():
