@@ -103,28 +103,31 @@ def load_checkpoint(path) -> CheckpointBundle:
         raise VersionMismatchError(
             f"checkpoint format {version!r}, expected {FORMAT_VERSION}")
 
-    config = ModelConfig.from_dict(manifest["model_config"])
-    model = EncoderModel(config, seed=None,
-                         embeddings_frozen=manifest["embeddings_frozen"])
-    head = None
-    if manifest.get("head") is not None:
-        head = ClassifierHead(manifest["head"]["hidden_dim"],
-                              manifest["head"]["num_classes"], seed=None)
+    try:
+        config = ModelConfig.from_dict(manifest["model_config"])
+        embeddings_frozen = manifest["embeddings_frozen"]
+        head_spec = manifest.get("head")
+        head = None if head_spec is None else ClassifierHead(
+            head_spec["hidden_dim"], head_spec["num_classes"], seed=None)
+        records = [(r["name"], r["offset"], r["nbytes"], r["sha256"], tuple(r["shape"]))
+                   for r in manifest["tensors"]]
+        stage_index, step_count = manifest["stage_index"], manifest["step_count"]
+    except (KeyError, TypeError) as exc:
+        raise InvalidConfigError(f"manifest field missing or malformed: {exc}") from None
+    model = EncoderModel(config, seed=None, embeddings_frozen=embeddings_frozen)
     targets = dict(_named_tensors(model, head))
 
     raw = (directory / WEIGHTS_NAME).read_bytes()
     seen = set()
-    for record in manifest["tensors"]:
-        name = record["name"]
+    for name, offset, nbytes, digest, shape in records:
         if name not in targets:
             raise InvalidConfigError(f"manifest lists unknown tensor {name!r}")
-        blob = raw[record["offset"]:record["offset"] + record["nbytes"]]
-        if len(blob) != record["nbytes"]:
+        blob = raw[offset:offset + nbytes]
+        if len(blob) != nbytes:
             raise DigestMismatchError(f"weights file truncated at tensor {name!r}")
-        if hashlib.sha256(blob).hexdigest() != record["sha256"]:
+        if hashlib.sha256(blob).hexdigest() != digest:
             raise DigestMismatchError(f"digest mismatch for tensor {name!r}")
         tensor = targets[name]
-        shape = tuple(record["shape"])
         if shape != tensor.shape:
             raise ShapeMismatchError(
                 f"tensor {name!r} has shape {shape}, expected {tensor.shape}")
@@ -135,5 +138,4 @@ def load_checkpoint(path) -> CheckpointBundle:
     if missing:
         raise InvalidConfigError(f"checkpoint missing tensors: {sorted(missing)}")
     return CheckpointBundle(model=model, head=head,
-                            stage_index=manifest["stage_index"],
-                            step_count=manifest["step_count"])
+                            stage_index=stage_index, step_count=step_count)

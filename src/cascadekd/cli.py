@@ -198,7 +198,7 @@ def cmd_distill(args) -> int:
     plan = DistillStagePlan(
         teacher_depth=teacher.num_layers, student_depth=teacher.num_layers - 1,
         optimizer=config.pretrain_optimizer(), steps=steps,
-        warmup_steps=min(config.cascade.warmup_steps, steps))
+        warmup_steps=config.cascade.warmup_steps)
     with MetricsWriter(out / METRICS_FILE) as writer:
         student, trace = run_stage(plan, teacher, batches, config.seeds.cascade,
                                    dropout=dropout, metrics=writer.write)
@@ -250,8 +250,12 @@ def cmd_report(args) -> int:
     rows = []
     provided = {}
     for path in args.results:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        rows.append((payload["label"], payload["per_language"]))
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            rows.append((payload["label"], payload["per_language"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidConfigError(
+                f"{path}: not an eval result: {type(exc).__name__}: {exc}") from None
         if "average" in payload:
             provided[payload["label"]] = payload["average"]
     table = emit_report(rows, provided_averages=provided)

@@ -396,9 +396,14 @@ class TokenizerVocab:
 
     @classmethod
     def load(cls, path) -> "TokenizerVocab":
-        with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
-        return cls(token_to_id=blob["token_to_id"], vocab_size=blob["vocab_size"])
+        try:
+            with open(path, encoding="utf-8") as fh:
+                blob = json.load(fh)
+            token_to_id, vocab_size = blob["token_to_id"], blob["vocab_size"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidConfigError(
+                f"{path}: not a vocabulary file: {type(exc).__name__}: {exc}") from None
+        return cls(token_to_id=token_to_id, vocab_size=vocab_size)
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +510,18 @@ def write_labeled(path, rows: Iterable[tuple[str, int, str]]) -> None:
 
 
 def read_labeled(path) -> list[tuple[str, int, str]]:
+    """Read `lang<TAB>label<TAB>text` lines; a malformed line raises
+    InvalidConfigError naming the file and the line."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:
                 continue
-            lang, label, text = line.split("\t", 2)
-            out.append((lang, int(label), text))
+            try:
+                lang, label, text = line.split("\t", 2)
+                out.append((lang, int(label), text))
+            except ValueError:
+                raise InvalidConfigError(
+                    f"{path}: line {lineno} is not lang<TAB>integer label<TAB>text") from None
     return out

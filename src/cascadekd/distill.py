@@ -171,7 +171,6 @@ class DistillStagePlan:
     student_depth: int
     optimizer: OptimizerConfig
     steps: int = DEFAULT_STAGE_STEPS
-    schedule_mode: str = ScheduleConfig.STANDARD
     warmup_steps: int = 6_666
 
     def __post_init__(self):
@@ -181,10 +180,10 @@ class DistillStagePlan:
             raise DepthMismatchError("a stage shrinks by exactly one layer")
         if self.steps < 1:
             raise InvalidConfigError("steps must be >= 1")
+        self.schedule()  # a bad warmup_steps fails here, not mid-cascade
 
     def schedule(self) -> ScheduleConfig:
-        if self.schedule_mode == ScheduleConfig.FULL_WARMUP:
-            return ScheduleConfig.full_warmup(self.steps)
+        """The stage's trapezoid; warmup longer than the stage is clamped."""
         return ScheduleConfig(total_steps=self.steps,
                               warmup_steps=min(self.warmup_steps, self.steps))
 
@@ -223,16 +222,16 @@ def build_cascade_plan(start_depth: int, end_depth: int, optimizer: OptimizerCon
     """Plan the chain start_depth -> start_depth-1 -> ... -> end_depth.
 
     The first stage defaults to warming up over all of its steps (training
-    the deepest assistant decays more reliably that way); later stages use
-    the standard warmup/decay split.
+    the deepest assistant decays more reliably that way): its warmup_steps
+    is steps_per_stage. Later stages warm up over `warmup_steps`, then decay.
     """
     stages = []
     for i, depth in enumerate(range(start_depth, end_depth, -1)):
-        mode = ScheduleConfig.FULL_WARMUP if (i == 0 and first_stage_full_warmup) \
-            else ScheduleConfig.STANDARD
+        full = i == 0 and first_stage_full_warmup
         stages.append(DistillStagePlan(
             teacher_depth=depth, student_depth=depth - 1, optimizer=optimizer,
-            steps=steps_per_stage, schedule_mode=mode, warmup_steps=warmup_steps))
+            steps=steps_per_stage,
+            warmup_steps=steps_per_stage if full else warmup_steps))
     return CascadePlan(start_depth=start_depth, end_depth=end_depth, stages=tuple(stages))
 
 
@@ -279,13 +278,13 @@ def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterat
             return total_distill_loss(t_trace, s_trace)
 
         micros = batch.split(plan.optimizer.micro_batch_size)
+        lr = lr_at(schedule, plan.optimizer.peak_lr, step)
         try:
-            loss = accumulate_and_step(loss_fn, micros, optimizer, schedule, step)
+            loss = accumulate_and_step(loss_fn, micros, optimizer, lr)
         except NonFiniteLossError as exc:
             raise NonFiniteLossError(f"stage {stage_index} step {step}: {exc}") from None
         loss_trace.append(loss)
         if metrics is not None:
-            lr = lr_at(schedule, plan.optimizer.peak_lr, step)
             metrics({"stage": stage_index, "step": step, "lr": lr, "loss": loss})
     return student, loss_trace
 

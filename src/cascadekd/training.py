@@ -3,17 +3,18 @@ schedules, gradient accumulation over micro-batches, supervised
 fine-tuning of a classifier head, and zero-shot evaluation.
 
 Pretraining uses linear warmup to the peak rate followed by linear decay
-to zero; a stage may instead warm up over all of its steps. Fine-tuning
-uses a constant rate. The batch loss is the example-weighted mean of
-micro-batch losses, so gradients match single-pass full-batch training
-whenever each example contributes equally to its micro-batch mean.
+to zero; a stage that warms up over all of its steps has warmup equal
+to total and no decay. Fine-tuning uses a constant rate. The batch loss
+is the example-weighted mean of micro-batch losses, so gradients match
+single-pass full-batch training whenever each example contributes
+equally to its micro-batch mean.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -66,31 +67,18 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class ScheduleConfig:
     """Trapezoidal schedule: linear 0 -> peak over [0, warmup], linear
-    peak -> 0 over [warmup, total]. In full-warmup mode the ramp covers
-    every step and there is no decay."""
-
-    STANDARD = "standard"
-    FULL_WARMUP = "full_warmup"
+    peak -> 0 over [warmup, total]. With warmup_steps == total_steps the
+    ramp covers every step and there is no decay."""
 
     total_steps: int
     warmup_steps: int
-    mode: str = STANDARD
 
     def __post_init__(self):
-        if self.mode not in (self.STANDARD, self.FULL_WARMUP):
-            raise InvalidConfigError(f"unknown schedule mode {self.mode!r}")
         if self.total_steps < 1:
             raise InvalidConfigError("total_steps must be >= 1")
         if not 0 <= self.warmup_steps <= self.total_steps:
             raise InvalidConfigError(
                 f"warmup_steps {self.warmup_steps} outside [0, {self.total_steps}]")
-        if self.mode == self.FULL_WARMUP and self.warmup_steps != self.total_steps:
-            raise InvalidConfigError("full warmup requires warmup_steps == total_steps")
-
-    @classmethod
-    def full_warmup(cls, total_steps: int) -> "ScheduleConfig":
-        return cls(total_steps=total_steps, warmup_steps=total_steps,
-                   mode=cls.FULL_WARMUP)
 
 
 def lr_at(schedule: ScheduleConfig, peak_lr: float, step: int) -> float:
@@ -98,8 +86,6 @@ def lr_at(schedule: ScheduleConfig, peak_lr: float, step: int) -> float:
     if not 0 <= step <= schedule.total_steps:
         raise StepOutOfRangeError(
             f"step {step} outside [0, {schedule.total_steps}]")
-    if schedule.mode == ScheduleConfig.FULL_WARMUP:
-        return peak_lr * step / schedule.total_steps
     warmup, total = schedule.warmup_steps, schedule.total_steps
     if warmup > 0 and step <= warmup:
         return peak_lr * step / warmup
@@ -182,23 +168,16 @@ class Adam:
 
 def accumulate_and_step(loss_fn: Callable[[Batch], Tensor],
                         micro_batches: Iterable[Batch],
-                        optimizer: Adam,
-                        schedule: Optional[ScheduleConfig] = None,
-                        step: int = 0,
-                        lr: Optional[float] = None) -> float:
-    """Accumulate gradients over micro-batches, then take one Adam step.
+                        optimizer: Adam, lr: float) -> float:
+    """Accumulate gradients over micro-batches, then take one Adam step at
+    learning rate `lr`.
 
     Each micro-batch loss is weighted by its share of the examples, so the
-    returned loss is the example-weighted batch mean. The step's rate
-    comes from the schedule unless `lr` is given directly.
+    returned loss is the example-weighted batch mean.
     """
     micros = list(micro_batches)
     if not micros:
         raise InvalidConfigError("no micro-batches to accumulate")
-    if lr is None:
-        if schedule is None:
-            raise InvalidConfigError("need a schedule or an explicit lr")
-        lr = lr_at(schedule, optimizer.config.peak_lr, step)
     total_examples = sum(len(m) for m in micros)
     optimizer.zero_grad()
     total = 0.0
@@ -273,8 +252,7 @@ def fine_tune(model: EncoderModel, data: Batch,
                 return cross_entropy(logits, micro.labels)
 
             micros = batch.split(config.optimizer.micro_batch_size)
-            accumulate_and_step(loss_fn, micros, optimizer,
-                                lr=config.optimizer.peak_lr)
+            accumulate_and_step(loss_fn, micros, optimizer, config.optimizer.peak_lr)
     return model, head
 
 

@@ -203,12 +203,10 @@ def test_criterion_4_schedule_exactness():
     fixed = (lr_at(standard, peak, 0) == 0.0
              and lr_at(standard, peak, 6_666) == peak
              and lr_at(standard, peak, 66_666) == 0.0)
-    full = ScheduleConfig.full_warmup(66_666)
+    full = ScheduleConfig(total_steps=66_666, warmup_steps=66_666)
     fixed = fixed and lr_at(full, peak, 66_666) == peak
 
     def closed_form(schedule, step):
-        if schedule.mode == ScheduleConfig.FULL_WARMUP:
-            return peak * step / schedule.total_steps
         if step <= schedule.warmup_steps:
             return peak * step / schedule.warmup_steps
         return peak * (schedule.total_steps - step) / \

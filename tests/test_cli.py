@@ -219,6 +219,36 @@ def test_validation_errors_exit_one(pipeline, tmp_path, capsys):
                  str(pipeline["task"] / "task_eval_aa.tsv")])
     assert code == 1
     assert "no classifier head" in capsys.readouterr().err
+    # malformed labeled files and vocabulary
+    bad_label = tmp_path / "bad_label.tsv"
+    bad_label.write_text("aa\tone\tsome text\n")
+    short_row = tmp_path / "short_row.tsv"
+    short_row.write_text("aa\t1\n")
+    broken_corpus = tmp_path / "broken_corpus"
+    broken_corpus.mkdir()
+    (broken_corpus / "vocab.json").write_text("{not json")
+    for corpus, eval_file in ((pipeline["corpus"], bad_label),
+                              (pipeline["corpus"], short_row),
+                              (broken_corpus, pipeline["task"] / "task_eval_aa.tsv")):
+        code = main(["eval", "--corpus", str(corpus),
+                     "--model", str(pipeline["run"] / "finetuned"), str(eval_file)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+    bad_result = tmp_path / "bad_result.json"
+    bad_result.write_text('{"per_language": {}}')
+    assert main(["report", str(bad_result)]) == 1
+    assert "error:" in capsys.readouterr().err
+    # a bad warmup fails before any stage trains
+    ini = tmp_path / "bad_warmup.ini"
+    ini.write_text(TINY_INI.replace("end_depth = 2", "end_depth = 1")
+                   .replace("steps_per_stage = 6", "steps_per_stage = 3")
+                   .replace("warmup_steps = 2", "warmup_steps = -1"))
+    out = tmp_path / "run"
+    code = main(["cascade", "--config", str(ini), "--corpus", str(pipeline["corpus"]),
+                 "--out", str(out), "--deterministic"])
+    assert code == 1
+    assert "warmup_steps -1" in capsys.readouterr().err
+    assert not list(out.glob("stage_*"))
 
 
 def test_runtime_errors_exit_two(pipeline, tmp_path, capsys):

@@ -314,9 +314,8 @@ def test_build_cascade_plan_counts():
     plan = build_cascade_plan(12, 6, optimizer_config())
     assert len(plan.stages) == 6
     assert plan.total_steps == 399_996
-    assert plan.stages[0].schedule_mode == ScheduleConfig.FULL_WARMUP
-    assert all(s.schedule_mode == ScheduleConfig.STANDARD
-               for s in plan.stages[1:])
+    assert plan.stages[0].warmup_steps == plan.stages[0].steps
+    assert all(s.warmup_steps == 6_666 for s in plan.stages[1:])
     depths = [(s.teacher_depth, s.student_depth) for s in plan.stages]
     assert depths == [(12, 11), (11, 10), (10, 9), (9, 8), (8, 7), (7, 6)]
 
@@ -331,20 +330,18 @@ def test_cascade_plan_validation():
         CascadePlan(start_depth=3, end_depth=2, stages=wrong)
     with pytest.raises(DepthMismatchError):
         DistillStagePlan(teacher_depth=4, student_depth=2, optimizer=opt)
+    with pytest.raises(InvalidConfigError):
+        build_cascade_plan(6, 3, opt, steps_per_stage=3, warmup_steps=-1)
 
 
-def test_stage_schedule_modes():
+def test_stage_schedule_clamps_warmup():
     opt = optimizer_config()
     standard = DistillStagePlan(teacher_depth=3, student_depth=2, optimizer=opt,
                                 steps=100, warmup_steps=10)
-    sched = standard.schedule()
-    assert sched.mode == ScheduleConfig.STANDARD
-    assert sched.warmup_steps == 10
-    full = DistillStagePlan(teacher_depth=3, student_depth=2, optimizer=opt,
-                            steps=100, schedule_mode=ScheduleConfig.FULL_WARMUP)
-    sched = full.schedule()
-    assert sched.mode == ScheduleConfig.FULL_WARMUP
-    assert sched.warmup_steps == 100
+    assert standard.schedule() == ScheduleConfig(total_steps=100, warmup_steps=10)
+    long = DistillStagePlan(teacher_depth=3, student_depth=2, optimizer=opt,
+                            steps=100, warmup_steps=500)
+    assert long.schedule() == ScheduleConfig(total_steps=100, warmup_steps=100)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,18 @@ def test_shape_mismatch_rejected(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
+@pytest.mark.parametrize("field, mutate", [
+    ("stage_index", lambda m: m.pop("stage_index")),
+    ("num_heads", lambda m: m["model_config"].pop("num_heads")),
+    ("sha256", lambda m: m["tensors"][0].pop("sha256")),
+])
+def test_missing_manifest_field_rejected(tmp_path, field, mutate):
+    save_checkpoint(tmp_path / "ckpt", tiny_model())
+    _edit_manifest(tmp_path / "ckpt", mutate)
+    with pytest.raises(InvalidConfigError, match=field):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 def test_missing_manifest_rejected(tmp_path):
     with pytest.raises(InvalidConfigError):
         load_checkpoint(tmp_path / "nothing_here")

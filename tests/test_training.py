@@ -54,14 +54,6 @@ def test_schedule_config_validation():
         ScheduleConfig(total_steps=10, warmup_steps=11)
     with pytest.raises(InvalidConfigError):
         ScheduleConfig(total_steps=0, warmup_steps=0)
-    with pytest.raises(InvalidConfigError):
-        ScheduleConfig(total_steps=10, warmup_steps=5,
-                       mode=ScheduleConfig.FULL_WARMUP)
-    with pytest.raises(InvalidConfigError):
-        ScheduleConfig(total_steps=10, warmup_steps=5, mode="cosine")
-    full = ScheduleConfig.full_warmup(7)
-    assert full.warmup_steps == 7
-    assert full.mode == ScheduleConfig.FULL_WARMUP
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +66,7 @@ def test_lr_hand_values():
     assert lr_at(sched, 1e-7, 6_666) == 1e-7
     assert lr_at(sched, 1e-7, 66_666) == 0.0
     assert lr_at(sched, 1e-7, 3_333) == 1e-7 * 3_333 / 6_666
-    full = ScheduleConfig.full_warmup(66_666)
+    full = ScheduleConfig(total_steps=66_666, warmup_steps=66_666)
     assert lr_at(full, 1e-7, 33_333) == 5e-8
     assert lr_at(full, 1e-7, 66_666) == 1e-7
 
@@ -102,10 +94,8 @@ def test_lr_matches_reference_everywhere():
         warmup = int(rng.integers(0, total + 1))
         full = bool(rng.integers(0, 2))
         if full:
-            sched = ScheduleConfig.full_warmup(total)
             warmup = total
-        else:
-            sched = ScheduleConfig(total_steps=total, warmup_steps=warmup)
+        sched = ScheduleConfig(total_steps=total, warmup_steps=warmup)
         peak = float(rng.uniform(1e-9, 1e-2))
         for step in rng.integers(0, total + 1, size=20):
             got = lr_at(sched, peak, int(step))
@@ -197,15 +187,14 @@ def test_accumulation_invariant_to_micro_batching():
     rng = np.random.default_rng(2)
     table, batch, loss_fn = toy_loss_setup(rng)
     start = table.data.copy()
-    sched = ScheduleConfig(total_steps=4, warmup_steps=0)
+    lr = lr_at(ScheduleConfig(total_steps=4, warmup_steps=0), 0.05, 1)
     results = []
     for micro_size in (1, 2, 4, 8):
         table.data = start.copy()
         config = OptimizerConfig(peak_lr=0.05, batch_size=8,
                                  micro_batch_size=micro_size)
         opt = Adam([("table", table)], config)
-        loss = accumulate_and_step(loss_fn, batch.split(micro_size), opt,
-                                   sched, step=1)
+        loss = accumulate_and_step(loss_fn, batch.split(micro_size), opt, lr)
         results.append((loss, table.data.copy()))
     base_loss, base_param = results[0]
     for loss, param in results[1:]:
@@ -219,20 +208,18 @@ def test_accumulation_weights_ragged_micros():
     config = OptimizerConfig(peak_lr=0.0, batch_size=5, micro_batch_size=1)
     opt = Adam([("table", table)], config)
     micros = batch.split(3)  # sizes 3 and 2
-    with_split = accumulate_and_step(loss_fn, micros, opt, lr=0.0)
+    with_split = accumulate_and_step(loss_fn, micros, opt, 0.0)
     whole = loss_fn(batch).item()
     assert np.isclose(with_split, whole, rtol=1e-12)
 
 
-def test_accumulation_needs_rate_source():
+def test_accumulation_rejects_empty_micro_batches():
     rng = np.random.default_rng(4)
     table, batch, loss_fn = toy_loss_setup(rng)
     config = OptimizerConfig(peak_lr=0.1, batch_size=8, micro_batch_size=8)
     opt = Adam([("table", table)], config)
     with pytest.raises(InvalidConfigError):
-        accumulate_and_step(loss_fn, [], opt, lr=0.0)
-    with pytest.raises(InvalidConfigError):
-        accumulate_and_step(loss_fn, batch.split(8), opt)
+        accumulate_and_step(loss_fn, [], opt, 0.0)
 
 
 # ---------------------------------------------------------------------------
