@@ -403,6 +403,11 @@ class TokenizerVocab:
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidConfigError(
                 f"{path}: not a vocabulary file: {type(exc).__name__}: {exc}") from None
+        if not isinstance(token_to_id, dict) or \
+                any(type(i) is not int for i in token_to_id.values()):
+            raise InvalidConfigError(f"{path}: token_to_id must map tokens to integer ids")
+        if type(vocab_size) is not int:
+            raise InvalidConfigError(f"{path}: vocab_size must be an integer")
         return cls(token_to_id=token_to_id, vocab_size=vocab_size)
 
 

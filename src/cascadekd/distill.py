@@ -45,8 +45,6 @@ from .training import (
     lr_at,
 )
 
-ADJACENT_AVERAGE = "adjacent_average"
-
 
 @dataclass(frozen=True)
 class LayerMapSpec:
@@ -55,11 +53,8 @@ class LayerMapSpec:
 
     student_depth: int
     teacher_depth: int
-    strategy: str = ADJACENT_AVERAGE
 
     def __post_init__(self):
-        if self.strategy != ADJACENT_AVERAGE:
-            raise InvalidConfigError(f"unknown layer-map strategy {self.strategy!r}")
         if self.student_depth < 1:
             raise InvalidConfigError("student_depth must be >= 1")
         if self.teacher_depth != self.student_depth + 1:
@@ -69,10 +64,6 @@ class LayerMapSpec:
 
     @classmethod
     def for_traces(cls, teacher: ForwardTrace, student: ForwardTrace) -> "LayerMapSpec":
-        if teacher.depth != student.depth + 1:
-            raise DepthMismatchError(
-                f"teacher has {teacher.depth} attention layers, student has "
-                f"{student.depth}; expected a single-layer shrink")
         return cls(student_depth=student.depth, teacher_depth=teacher.depth)
 
 
@@ -101,59 +92,65 @@ def top_layer_init(teacher: EncoderModel) -> EncoderModel:
 # losses
 # ---------------------------------------------------------------------------
 
-def _check_same_batch(teacher: ForwardTrace, student: ForwardTrace) -> np.ndarray:
-    if teacher.attention_mask.shape != student.attention_mask.shape or \
-            not np.array_equal(teacher.attention_mask, student.attention_mask):
+def _check_pair(teacher: ForwardTrace, student: ForwardTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Check that `student` is one layer shallower than `teacher`, traced on
+    the same batch with the same shapes. Returns the include masks of the
+    attention terms (query x key) and of the hidden terms."""
+    LayerMapSpec.for_traces(teacher, student)
+    if (len(teacher.hidden), len(student.hidden)) != (teacher.depth + 1, student.depth + 1):
+        raise DepthMismatchError("a trace needs one more hidden output than attention layers")
+    mask = student.attention_mask
+    if teacher.attention_mask.shape != mask.shape or \
+            not np.array_equal(teacher.attention_mask, mask):
         raise DimensionMismatchError("teacher and student traces come from different batches")
-    return student.attention_mask
+    a_shape, h_shape = student.attentions[0].shape, student.hidden[0].shape
+    if teacher.attentions[0].shape[1] != a_shape[1]:
+        raise HeadCountMismatchError(
+            f"student has {a_shape[1]} heads, teacher has {teacher.attentions[0].shape[1]}")
+    for a in teacher.attentions + student.attentions:
+        if a.shape != a_shape:
+            raise DimensionMismatchError(f"attention shapes differ: {a_shape} vs {a.shape}")
+    for h in teacher.hidden + student.hidden:
+        if h.shape != h_shape:
+            raise DimensionMismatchError(f"hidden shapes differ: {h_shape} vs {h.shape}")
+    return mask[:, None, :, None] & mask[:, None, None, :], mask[:, :, None]
+
+
+def _term(student_t: Tensor, teacher_t: Tensor, teacher_next: Tensor,
+          include: np.ndarray) -> Tensor:
+    """MSE from a student record to the average of two adjacent teacher
+    records; the target is a constant, so no gradient reaches the teacher."""
+    return mse(student_t, (teacher_t.data + teacher_next.data) * 0.5, include=include)
 
 
 def attention_layer_loss(teacher: ForwardTrace, student: ForwardTrace, j: int) -> Tensor:
     """Head-averaged MSE between student attention at layer j (1-based) and
     the average of teacher attentions at layers j and j+1."""
-    LayerMapSpec.for_traces(teacher, student)
+    include, _ = _check_pair(teacher, student)
     if not 1 <= j <= student.depth:
         raise LayerIndexOutOfRangeError(f"attention layer {j} outside 1..{student.depth}")
-    a_s = student.attention_at(j)
-    a_t = teacher.attention_at(j).detach()
-    a_t_next = teacher.attention_at(j + 1).detach()
-    if a_s.shape[1] != a_t.shape[1]:
-        raise HeadCountMismatchError(
-            f"student has {a_s.shape[1]} heads, teacher has {a_t.shape[1]}")
-    if a_s.shape != a_t.shape:
-        raise DimensionMismatchError(
-            f"attention shapes differ: {a_s.shape} vs {a_t.shape}")
-    target = (a_t + a_t_next) * 0.5
-    mask = _check_same_batch(teacher, student)
-    return mse(a_s, target, include=mask[:, None, :, None] & mask[:, None, None, :])
+    return _term(student.attentions[j - 1], teacher.attentions[j - 1],
+                 teacher.attentions[j], include)
 
 
 def hidden_layer_loss(teacher: ForwardTrace, student: ForwardTrace, k: int) -> Tensor:
     """MSE between student hidden output k (1-based, 1 = embedding output)
     and the average of teacher hidden outputs k and k+1."""
-    LayerMapSpec.for_traces(teacher, student)
+    _, include = _check_pair(teacher, student)
     if not 1 <= k <= student.depth + 1:
         raise LayerIndexOutOfRangeError(f"hidden output {k} outside 1..{student.depth + 1}")
-    h_s = student.hidden_at(k)
-    h_t = teacher.hidden_at(k).detach()
-    h_t_next = teacher.hidden_at(k + 1).detach()
-    if h_s.shape != h_t.shape:
-        raise DimensionMismatchError(f"hidden shapes differ: {h_s.shape} vs {h_t.shape}")
-    target = (h_t + h_t_next) * 0.5
-    mask = _check_same_batch(teacher, student)
-    return mse(h_s, target, include=mask[:, :, None])
+    return _term(student.hidden[k - 1], teacher.hidden[k - 1], teacher.hidden[k], include)
 
 
 def total_distill_loss(teacher: ForwardTrace, student: ForwardTrace) -> Tensor:
     """Per-batch distillation objective over all mapped layers."""
-    LayerMapSpec.for_traces(teacher, student)
-    n = student.depth
-    total = attention_layer_loss(teacher, student, 1)
-    for j in range(2, n + 1):
-        total = total + attention_layer_loss(teacher, student, j)
-    for k in range(1, n + 2):
-        total = total + hidden_layer_loss(teacher, student, k)
-    return total * (1.0 / n)
+    attn_include, hidden_include = _check_pair(teacher, student)
+    t_attn, t_hidden = teacher.attentions, teacher.hidden
+    terms = [_term(s, t, t_next, attn_include)
+             for s, t, t_next in zip(student.attentions, t_attn, t_attn[1:])]
+    terms += [_term(s, t, t_next, hidden_include)
+              for s, t, t_next in zip(student.hidden, t_hidden, t_hidden[1:])]
+    return sum(terms[1:], terms[0]) * (1.0 / student.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +171,7 @@ class DistillStagePlan:
     warmup_steps: int = 6_666
 
     def __post_init__(self):
-        if self.student_depth < 1:
-            raise InvalidConfigError("student_depth must be >= 1")
-        if self.teacher_depth != self.student_depth + 1:
-            raise DepthMismatchError("a stage shrinks by exactly one layer")
+        LayerMapSpec(student_depth=self.student_depth, teacher_depth=self.teacher_depth)
         if self.steps < 1:
             raise InvalidConfigError("steps must be >= 1")
         self.schedule()  # a bad warmup_steps fails here, not mid-cascade

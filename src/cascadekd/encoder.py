@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidConfigError,
-    LayerIndexOutOfRangeError,
     SequenceTooLongError,
     TokenOutOfRangeError,
 )
@@ -132,20 +131,6 @@ class ForwardTrace:
     @property
     def depth(self) -> int:
         return len(self.attentions)
-
-    def hidden_at(self, k: int) -> Tensor:
-        """Hidden output k, counting from 1 at the embedding output."""
-        if not 1 <= k <= len(self.hidden):
-            raise LayerIndexOutOfRangeError(
-                f"hidden output {k} outside 1..{len(self.hidden)}")
-        return self.hidden[k - 1]
-
-    def attention_at(self, j: int) -> Tensor:
-        """Attention record of layer j, counting from 1."""
-        if not 1 <= j <= len(self.attentions):
-            raise LayerIndexOutOfRangeError(
-                f"attention layer {j} outside 1..{len(self.attentions)}")
-        return self.attentions[j - 1]
 
 
 class EncoderModel:

@@ -3,8 +3,9 @@
 Every differentiable operation is a `Function` that records its parents;
 a backward pass walks the resulting graph once in reverse topological
 order, accumulating gradients into the `grad` field of leaf tensors that
-have `requires_grad` set. A graph belongs to a single thread; distinct
-graphs may be used concurrently.
+have `requires_grad` set. A graph belongs to a single thread. Grad mode
+is process-wide: `no_grad` flips one module-level flag, so it switches
+recording off for every thread while the block runs.
 
 All data is 64-bit IEEE-754, row-major. First-order gradients only.
 """

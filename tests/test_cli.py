@@ -224,12 +224,17 @@ def test_validation_errors_exit_one(pipeline, tmp_path, capsys):
     bad_label.write_text("aa\tone\tsome text\n")
     short_row = tmp_path / "short_row.tsv"
     short_row.write_text("aa\t1\n")
-    broken_corpus = tmp_path / "broken_corpus"
-    broken_corpus.mkdir()
-    (broken_corpus / "vocab.json").write_text("{not json")
-    for corpus, eval_file in ((pipeline["corpus"], bad_label),
-                              (pipeline["corpus"], short_row),
-                              (broken_corpus, pipeline["task"] / "task_eval_aa.tsv")):
+    vocab = json.loads((pipeline["corpus"] / "vocab.json").read_text())
+    broken_corpora = []
+    for name, text in (("not_json", "{not json"),
+                       ("list_vocab", json.dumps({**vocab, "token_to_id": ["a"]})),
+                       ("str_size", json.dumps({**vocab, "vocab_size": "5"}))):
+        broken = tmp_path / name
+        broken.mkdir()
+        (broken / "vocab.json").write_text(text)
+        broken_corpora.append((broken, pipeline["task"] / "task_eval_aa.tsv"))
+    for corpus, eval_file in [(pipeline["corpus"], bad_label),
+                              (pipeline["corpus"], short_row)] + broken_corpora:
         code = main(["eval", "--corpus", str(corpus),
                      "--model", str(pipeline["run"] / "finetuned"), str(eval_file)])
         assert code == 1

@@ -122,8 +122,7 @@ def test_top_layer_init_rejects_single_layer_teacher():
 
 
 def test_layer_map_spec_validation():
-    spec = LayerMapSpec(student_depth=3, teacher_depth=4)
-    assert spec.strategy == "adjacent_average"
+    LayerMapSpec(student_depth=3, teacher_depth=4)
     with pytest.raises(DepthMismatchError):
         LayerMapSpec(student_depth=3, teacher_depth=5)
     with pytest.raises(InvalidConfigError):
@@ -210,14 +209,34 @@ def test_loss_rejects_mismatched_traces():
                                                     padded=False)
     with pytest.raises(HeadCountMismatchError):
         attention_layer_loss(fat_teacher, student, 1)
-    _, _, s_hidden, s_attn, _ = arrays
+    with pytest.raises(HeadCountMismatchError):
+        total_distill_loss(fat_teacher, student)
+    t_hidden, t_attn, s_hidden, s_attn, mask = arrays
     other_mask = np.ones((2, 5), dtype=bool)
     other_mask[0, 2:] = False
     restamped = trace_from_arrays(s_hidden, s_attn, other_mask)
-    with pytest.raises(DimensionMismatchError):
-        attention_layer_loss(teacher, restamped, 1)
-    with pytest.raises(DimensionMismatchError):
-        hidden_layer_loss(teacher, restamped, 1)
+    for loss in (lambda t, s: attention_layer_loss(t, s, 1),
+                 lambda t, s: hidden_layer_loss(t, s, 1), total_distill_loss):
+        with pytest.raises(DimensionMismatchError):
+            loss(teacher, restamped)
+    # a hidden output of another width, at the bottom and at the top
+    for k in (0, len(t_hidden) - 1):
+        wide = list(t_hidden)
+        wide[k] = np.zeros((2, 5, 6))
+        with pytest.raises(DimensionMismatchError):
+            total_distill_loss(trace_from_arrays(wide, t_attn, mask), student)
+    short = trace_from_arrays(t_hidden[:-1], t_attn, mask)
+    with pytest.raises(DepthMismatchError):
+        total_distill_loss(short, student)
+
+
+def test_total_loss_is_the_mean_of_the_layer_losses():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3):
+        teacher, student, _ = random_trace_pair(rng, n=n)
+        terms = [attention_layer_loss(teacher, student, j).item() for j in range(1, n + 1)]
+        terms += [hidden_layer_loss(teacher, student, k).item() for k in range(1, n + 2)]
+        assert total_distill_loss(teacher, student).item() == sum(terms) * (1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +349,8 @@ def test_cascade_plan_validation():
         CascadePlan(start_depth=3, end_depth=2, stages=wrong)
     with pytest.raises(DepthMismatchError):
         DistillStagePlan(teacher_depth=4, student_depth=2, optimizer=opt)
+    with pytest.raises(InvalidConfigError):
+        DistillStagePlan(teacher_depth=1, student_depth=0, optimizer=opt)
     with pytest.raises(InvalidConfigError):
         build_cascade_plan(6, 3, opt, steps_per_stage=3, warmup_steps=-1)
 

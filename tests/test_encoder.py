@@ -16,7 +16,6 @@ from cascadekd.encoder import (
 from cascadekd.errors import (
     DimensionMismatchError,
     InvalidConfigError,
-    LayerIndexOutOfRangeError,
     SequenceTooLongError,
     TokenOutOfRangeError,
 )
@@ -64,15 +63,6 @@ def test_trace_shapes_and_indexing():
         assert h.shape == (2, 4, 8)
     for a in trace.attentions:
         assert a.shape == (2, 2, 4, 4)
-    assert trace.hidden_at(1) is trace.hidden[0]
-    assert trace.hidden_at(3) is trace.hidden[2]
-    assert trace.attention_at(2) is trace.attentions[1]
-    with pytest.raises(LayerIndexOutOfRangeError):
-        trace.hidden_at(0)
-    with pytest.raises(LayerIndexOutOfRangeError):
-        trace.hidden_at(4)
-    with pytest.raises(LayerIndexOutOfRangeError):
-        trace.attention_at(3)
 
 
 def test_forward_deterministic():

@@ -1,0 +1,66 @@
+"""Property tests: invariants stated in module docstrings, checked over
+random shapes and masks."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cascadekd.distill import total_distill_loss
+from cascadekd.encoder import ForwardTrace
+from cascadekd.tensor import Tensor, backward
+
+
+@st.composite
+def padded_trace_arrays(draw):
+    """Random teacher/student records for an n+1 -> n shrink, with a mask
+    whose rows keep a random-length prefix (at least one real position)."""
+    n = draw(st.integers(1, 3))
+    batch = draw(st.integers(1, 3))
+    seq = draw(st.integers(1, 5))
+    heads = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(0, seq), min_size=batch, max_size=batch))
+    assume(max(lengths) > 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = np.arange(seq)[None, :] < np.array(lengths)[:, None]
+    arrays = ([rng.normal(size=(batch, seq, dim)) for _ in range(n + 2)],
+              [rng.normal(size=(batch, heads, seq, seq)) for _ in range(n + 1)],
+              [rng.normal(size=(batch, seq, dim)) for _ in range(n + 1)],
+              [rng.normal(size=(batch, heads, seq, seq)) for _ in range(n)])
+    return arrays, mask, rng
+
+
+def loss_and_student_grads(arrays, mask):
+    t_hidden, t_attn, s_hidden, s_attn = arrays
+    teacher = ForwardTrace([Tensor(h) for h in t_hidden], [Tensor(a) for a in t_attn], mask)
+    student_records = [Tensor(x, requires_grad=True) for x in s_hidden + s_attn]
+    student = ForwardTrace(student_records[:len(s_hidden)],
+                           student_records[len(s_hidden):], mask)
+    loss = total_distill_loss(teacher, student)
+    backward(loss)
+    return loss.item(), [t.grad for t in student_records]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=padded_trace_arrays(), scale=st.floats(1e-3, 1e6))
+def test_padded_positions_move_neither_loss_nor_student_gradients(case, scale):
+    arrays, mask, rng = case
+    t_hidden, t_attn, s_hidden, s_attn = arrays
+    pad_hidden = ~mask[:, :, None]
+    pad_attn = ~(mask[:, None, :, None] & mask[:, None, None, :])
+
+    def scribble(x, pad):
+        out = x.copy()
+        where = np.broadcast_to(pad, x.shape)
+        out[where] = scale * rng.normal(size=int(where.sum()))
+        return out
+
+    garbage = ([scribble(h, pad_hidden) for h in t_hidden],
+               [scribble(a, pad_attn) for a in t_attn],
+               [scribble(h, pad_hidden) for h in s_hidden],
+               [scribble(a, pad_attn) for a in s_attn])
+    loss, grads = loss_and_student_grads(arrays, mask)
+    garbage_loss, garbage_grads = loss_and_student_grads(garbage, mask)
+    assert garbage_loss == loss
+    for g, garbage_g in zip(grads, garbage_grads):
+        assert np.array_equal(g, garbage_g)
