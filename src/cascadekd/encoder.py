@@ -6,6 +6,11 @@ n layers yields n+1 hidden outputs (the first being the embedding output)
 and n attention records. Architecture follows the BERT-base conventions:
 GELU feed-forward, post-layer-norm residual blocks, learned absolute
 positions, first-token pooling for classification.
+
+Every affine map (Q, K, V, the output projection, both feed-forward maps,
+the pooler and the classifier output) is one fused `Linear` tape node, and
+every layer norm is one fused `LayerNorm` node, each with a hand-written
+backward pass.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .errors import (
     SequenceTooLongError,
     TokenOutOfRangeError,
 )
-from .tensor import Tensor, gather_rows, gelu, softmax_rows
+from .tensor import Tensor, gather_rows, gelu, layer_norm, linear, softmax_rows
 
 INIT_STD = 0.02
 LAYER_NORM_EPS = 1e-12
@@ -207,7 +212,7 @@ class EncoderModel:
 
         x = gather_rows(self.token_embeddings, token_ids) \
             + self.position_embeddings[:seq_len]
-        x = _layer_norm(x, self.emb_ln_gain, self.emb_ln_bias)
+        x = layer_norm(x, self.emb_ln_gain, self.emb_ln_bias, LAYER_NORM_EPS)
         x = _dropout(x, self.config.dropout_rate, rng, dropping)
 
         hidden = [x]
@@ -229,9 +234,9 @@ class EncoderModel:
             # (B, T, d) -> (B, H, T, d/H)
             return t.reshape(batch, seq_len, heads, head_dim).permute(0, 2, 1, 3)
 
-        q = split_heads(x @ layer.wq + layer.bq)
-        k = split_heads(x @ layer.wk + layer.bk)
-        v = split_heads(x @ layer.wv + layer.bv)
+        q = split_heads(linear(x, layer.wq, layer.bq))
+        k = split_heads(linear(x, layer.wk, layer.bk))
+        v = split_heads(linear(x, layer.wv, layer.bv))
 
         scores = (q @ k.permute(0, 1, 3, 2)) * (1.0 / np.sqrt(head_dim))
         key_mask = mask[:, None, None, :]
@@ -239,21 +244,15 @@ class EncoderModel:
         captured = scores if cfg.attention_capture == PRE_SOFTMAX_SCALED else probs
 
         context = (probs @ v).permute(0, 2, 1, 3).reshape(batch, seq_len, d)
-        attn_out = context @ layer.wo + layer.bo
+        attn_out = linear(context, layer.wo, layer.bo)
         attn_out = _dropout(attn_out, cfg.dropout_rate, rng, dropping)
-        x = _layer_norm(x + attn_out, layer.ln_attn_gain, layer.ln_attn_bias)
+        x = layer_norm(x + attn_out, layer.ln_attn_gain, layer.ln_attn_bias, LAYER_NORM_EPS)
 
-        ffn = gelu(x @ layer.w_ffn_in + layer.b_ffn_in) @ layer.w_ffn_out + layer.b_ffn_out
+        ffn = linear(gelu(linear(x, layer.w_ffn_in, layer.b_ffn_in)),
+                     layer.w_ffn_out, layer.b_ffn_out)
         ffn = _dropout(ffn, cfg.dropout_rate, rng, dropping)
-        x = _layer_norm(x + ffn, layer.ln_ffn_gain, layer.ln_ffn_bias)
+        x = layer_norm(x + ffn, layer.ln_ffn_gain, layer.ln_ffn_bias, LAYER_NORM_EPS)
         return x, captured
-
-
-def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * ((var + eps) ** -0.5) * gain + bias
 
 
 def _dropout(x: Tensor, rate: float, rng, dropping: bool) -> Tensor:
@@ -310,5 +309,5 @@ def classify(model: EncoderModel, head: ClassifierHead, token_ids, attention_mas
     trace = model.forward(token_ids, attention_mask,
                           training_mode=training_mode, dropout_seed=dropout_seed)
     cls = trace.hidden[-1][:, 0, :]
-    pooled = (cls @ head.pooler_w + head.pooler_b).tanh()
-    return pooled @ head.out_w + head.out_b
+    pooled = linear(cls, head.pooler_w, head.pooler_b).tanh()
+    return linear(pooled, head.out_w, head.out_b)

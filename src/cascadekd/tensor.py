@@ -336,6 +336,51 @@ class MatMul(Function):
         return _unbroadcast(ga, self.a.shape), _unbroadcast(gb, self.b.shape)
 
 
+class Linear(Function):
+    """Affine map `x @ w + b` over the last axis of `x`; the weight
+    gradient is one 2-D product over all leading positions."""
+
+    def forward(self, x, w, b):
+        self.x, self.w = x, w
+        out = np.matmul(x, w)
+        out += b
+        return out
+
+    def backward(self, g):
+        d_in, d_out = self.w.shape
+        rows = g.reshape(-1, d_out)
+        gw = self.x.reshape(-1, d_in).T @ rows
+        return np.matmul(g, self.w.T), gw, rows.sum(axis=0)
+
+
+class LayerNorm(Function):
+    """`(x - mean) / sqrt(var + eps) * gain + bias` over the last axis.
+
+    The forward pass runs the same numpy operations, in the same order,
+    as the composition of `mean`, `-`, `*` and `** -0.5` on tensors, so
+    its values are bit-equal to it; backward keeps only the normalized
+    input, the reciprocal deviation and the gain.
+    """
+
+    def forward(self, x, gain, bias, eps):
+        scale = 1.0 / x.shape[-1]
+        centered = x - np.sum(x, axis=-1, keepdims=True) * scale
+        var = np.sum(centered * centered, axis=-1, keepdims=True) * scale
+        self.inv_std = (var + eps) ** -0.5
+        self.xhat = centered * self.inv_std
+        self.gain = gain
+        return self.xhat * gain + bias
+
+    def backward(self, g):
+        d = self.gain.shape[0]
+        rows = g.reshape(-1, d)
+        ggain = (rows * self.xhat.reshape(-1, d)).sum(axis=0)
+        gxhat = g * self.gain
+        gx = self.inv_std * (gxhat - gxhat.mean(axis=-1, keepdims=True)
+                             - self.xhat * (gxhat * self.xhat).mean(axis=-1, keepdims=True))
+        return gx, ggain, rows.sum(axis=0)
+
+
 class Sum(Function):
     def forward(self, a, axis, keepdims):
         self.shape, self.axis, self.keepdims = a.shape, axis, keepdims
@@ -392,6 +437,22 @@ class GatherRows(Function):
 
 def gelu(x: Tensor) -> Tensor:
     return Gelu.apply(x)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`x @ w + b` for a (d_in, d_out) weight and a (d_out,) bias."""
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise ShapeMismatchError(
+            f"linear shapes do not fit: x {x.shape}, w {w.shape}, b {b.shape}")
+    return Linear.apply(x, w, b)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Normalize over the last axis, then scale by `gain` and shift by `bias`."""
+    if gain.shape != x.shape[-1:] or bias.shape != gain.shape:
+        raise ShapeMismatchError(
+            f"layer_norm shapes do not fit: x {x.shape}, gain {gain.shape}, bias {bias.shape}")
+    return LayerNorm.apply(x, gain, bias, eps=eps)
 
 
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -472,9 +533,11 @@ class CrossEntropy(Function):
 
     def forward(self, logits, labels):
         shifted = logits - logits.max(axis=-1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=-1))
+        e = np.exp(shifted)
+        z = e.sum(axis=-1, keepdims=True)
+        log_z = np.log(z[:, 0])
         picked = shifted[np.arange(len(labels)), labels]
-        self.probs = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+        self.probs = e / z
         self.labels = labels
         return np.asarray((log_z - picked).mean())
 

@@ -173,7 +173,9 @@ def accumulate_and_step(loss_fn: Callable[[Batch], Tensor],
     learning rate `lr`.
 
     Each micro-batch loss is weighted by its share of the examples, so the
-    returned loss is the example-weighted batch mean.
+    returned loss is the example-weighted batch mean. At most one
+    micro-batch graph is alive at a time: each loss is dropped after its
+    backward pass, before the next `loss_fn` call and the Adam step.
     """
     micros = list(micro_batches)
     if not micros:
@@ -186,6 +188,7 @@ def accumulate_and_step(loss_fn: Callable[[Batch], Tensor],
         loss = loss_fn(micro)
         backward(loss * weight)
         total += loss.item() * weight
+        del loss
     if not math.isfinite(total):
         raise NonFiniteLossError(f"accumulated loss is {total}")
     optimizer.step(lr)

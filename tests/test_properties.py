@@ -1,5 +1,5 @@
-"""Property tests: invariants stated in module docstrings, checked over
-random shapes and masks."""
+"""Property tests: invariants stated in module docstrings and FD-gradient
+agreement of tape ops, checked over random shapes and masks."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from cascadekd.distill import total_distill_loss
 from cascadekd.encoder import ForwardTrace
-from cascadekd.tensor import Tensor, backward
+from cascadekd.tensor import Tensor, backward, layer_norm, linear
+
+from test_tensor import check_grads
 
 
 @st.composite
@@ -64,3 +66,30 @@ def test_padded_positions_move_neither_loss_nor_student_gradients(case, scale):
     assert garbage_loss == loss
     for g, garbage_g in zip(grads, garbage_grads):
         assert np.array_equal(g, garbage_g)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(lead=st.lists(st.integers(1, 3), max_size=2), d_in=st.integers(1, 4),
+       d_out=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_linear_matches_finite_differences(lead, d_in, d_out, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(*lead, d_in)), requires_grad=True)
+    w = Tensor(rng.normal(size=(d_in, d_out)), requires_grad=True)
+    b = Tensor(rng.normal(size=d_out), requires_grad=True)
+    target = Tensor(rng.normal(size=(*lead, d_out)))
+    check_grads(lambda: ((linear(x, w, b) - target) ** 2).sum(), [x, w, b])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(lead=st.lists(st.integers(1, 3), max_size=2), dim=st.integers(2, 6),
+       scale=st.floats(1e-2, 1e2), seed=st.integers(0, 2**32 - 1))
+def test_layer_norm_matches_finite_differences(lead, dim, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(scale * rng.normal(size=(*lead, dim)), requires_grad=True)
+    gain = Tensor(rng.normal(size=dim), requires_grad=True)
+    bias = Tensor(rng.normal(size=dim), requires_grad=True)
+    target = Tensor(rng.normal(size=(*lead, dim)))
+    # Layer norm is invariant to the scale of x, so the FD step follows it;
+    # a fixed step would add truncation error that grows as scale shrinks.
+    check_grads(lambda: ((layer_norm(x, gain, bias, 1e-12) - target) ** 2).sum(),
+                [x, gain, bias], h=1e-5 * scale)

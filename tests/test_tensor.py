@@ -18,6 +18,8 @@ from cascadekd.tensor import (
     cross_entropy,
     gather_rows,
     gelu,
+    layer_norm,
+    linear,
     mse,
     no_grad,
     softmax_rows,
@@ -158,6 +160,15 @@ def test_cross_entropy_values():
     assert np.isclose(cross_entropy(shifted, labels).item(), np.log(3.0))
 
 
+def test_cross_entropy_equals_log_sum_exp_form():
+    rng = np.random.default_rng(21)
+    logits = rng.normal(size=(6, 4)) * 3.0
+    labels = rng.integers(0, 4, size=6)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    want = (np.log(np.exp(shifted).sum(axis=-1)) - shifted[np.arange(6), labels]).mean()
+    assert cross_entropy(Tensor(logits), labels).item() == want
+
+
 def test_cross_entropy_errors():
     with pytest.raises(LabelOutOfRangeError):
         cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
@@ -169,6 +180,37 @@ def test_cross_entropy_errors():
         cross_entropy(Tensor(np.zeros(3)), np.array([0]))
     with pytest.raises(ShapeMismatchError):
         cross_entropy(Tensor(np.zeros((2, 3))), np.array([0]))
+
+
+def test_linear_forward_equals_matmul_plus_bias():
+    rng = np.random.default_rng(22)
+    x, w, b = (Tensor(rng.normal(size=shape)) for shape in ((2, 3, 4), (4, 5), (5,)))
+    assert np.array_equal(linear(x, w, b).data, (x @ w + b).data)
+
+
+def test_layer_norm_forward_equals_composition():
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.normal(size=(3, 4, 6)) * 10.0 + 3.0)
+    gain, bias = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    composed = centered * ((var + 1e-12) ** -0.5) * gain + bias
+    assert (layer_norm(x, gain, bias, 1e-12).data == composed.data).all()
+
+
+def test_linear_and_layer_norm_shape_errors():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeMismatchError):
+        linear(x, Tensor(np.zeros((3, 5))), Tensor(np.zeros(5)))
+    with pytest.raises(ShapeMismatchError):
+        linear(x, Tensor(np.zeros((4, 5))), Tensor(np.zeros(1)))
+    with pytest.raises(ShapeMismatchError):
+        linear(x, Tensor(np.zeros(4)), Tensor(np.zeros(())))
+    with pytest.raises(ShapeMismatchError):
+        layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), 1e-12)
+    with pytest.raises(ShapeMismatchError):
+        layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(1)), 1e-12)
 
 
 def test_gather_rows_forward():
@@ -252,6 +294,32 @@ def test_matmul_broadcast_grads():
             return ((x @ w) ** 2).sum()
 
         check_grads(build, [x, w])
+
+
+def test_linear_grads():
+    rng = np.random.default_rng(24)
+    for x_shape in ((5, 4), (2, 3, 4)):
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+
+        def build():
+            return (linear(x, w, b) ** 2).sum()
+
+        check_grads(build, [x, w, b])
+
+
+def test_layer_norm_grads():
+    rng = np.random.default_rng(25)
+    x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+    gain = Tensor(rng.normal(size=5), requires_grad=True)
+    bias = Tensor(rng.normal(size=5), requires_grad=True)
+    target = Tensor(rng.normal(size=(2, 3, 5)))
+
+    def build():
+        return ((layer_norm(x, gain, bias, 1e-12) - target) ** 2).sum()
+
+    check_grads(build, [x, gain, bias])
 
 
 def test_nonlinearity_grads():

@@ -1,6 +1,8 @@
 """Optimization: schedule values, Adam against a functional replay,
 accumulation invariance, fine-tuning, and evaluation."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,25 @@ def test_accumulation_weights_ragged_micros():
     with_split = accumulate_and_step(loss_fn, micros, opt, 0.0)
     whole = loss_fn(batch).item()
     assert np.isclose(with_split, whole, rtol=1e-12)
+
+
+def test_accumulation_frees_each_micro_batch_graph():
+    rng = np.random.default_rng(5)
+    table, batch, loss_fn = toy_loss_setup(rng)
+    config = OptimizerConfig(peak_lr=0.1, batch_size=8, micro_batch_size=2)
+    opt = Adam([("table", table)], config)
+    graphs = []
+    earlier_alive = []
+
+    def tracking_loss_fn(micro):
+        earlier_alive.append([ref() is not None for ref in graphs])
+        loss = loss_fn(micro)
+        graphs.append(weakref.ref(loss._ctx))
+        return loss
+
+    accumulate_and_step(tracking_loss_fn, batch.split(2), opt, 0.1)
+    assert earlier_alive == [[False] * i for i in range(4)]
+    assert [ref() for ref in graphs] == [None] * 4
 
 
 def test_accumulation_rejects_empty_micro_batches():
