@@ -8,11 +8,19 @@ is process-wide: `no_grad` flips one module-level flag, so it switches
 recording off for every thread while the block runs.
 
 All data is 64-bit IEEE-754, row-major. First-order gradients only.
+
+Heap policy: importing this module fixes two glibc malloc parameters for
+the process, once. Blocks under 32 MiB come from the heap, and the heap
+is given back to the OS only when more than 1 GiB at its top is free.
+With glibc's defaults, each freed step graph is trimmed from the heap and
+the next step faults the same pages back in. This is a fixed policy, not
+a setting. On a C library without `mallopt` (not glibc) nothing changes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -31,6 +39,25 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 _grad_enabled = True
+
+# glibc's mallopt parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _fix_heap_policy() -> None:
+    """Keep freed graph memory in the heap for reuse (see module docstring)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_fix_heap_policy()
 
 
 @contextlib.contextmanager
@@ -237,22 +264,34 @@ def backward(loss: Tensor) -> None:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
+    # A gradient a Function returned may be shared (Add hands one array to
+    # both parents), so it is never written to. A merge allocates a fresh
+    # sum; `owned` holds the ids whose pending gradient is such a sum, which
+    # later merges and the leaf may then reuse in place.
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    owned: set[int] = set()
     for node in reversed(order):
         grad = flowing.pop(id(node), None)
         if grad is None:
             continue
         if node._ctx is None:
             if node.requires_grad:
-                node.grad = grad.copy() if node.grad is None else node.grad + grad
+                if node.grad is None:
+                    node.grad = grad if id(node) in owned else grad.copy()
+                else:
+                    node.grad += grad
             continue
         for parent, pgrad in zip(node._ctx.parents, node._ctx.backward(grad)):
             if pgrad is None:
                 continue
-            if id(parent) in flowing:
-                flowing[id(parent)] = flowing[id(parent)] + pgrad
+            key = id(parent)
+            if key in owned:
+                flowing[key] += pgrad
+            elif key in flowing:
+                flowing[key] = flowing[key] + pgrad
+                owned.add(key)
             else:
-                flowing[id(parent)] = pgrad
+                flowing[key] = pgrad
 
 
 # ---------------------------------------------------------------------------

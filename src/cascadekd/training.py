@@ -259,11 +259,27 @@ def fine_tune(model: EncoderModel, data: Batch,
     return model, head
 
 
+# Examples scored per `classify` pass in `predict`: the pass's activations,
+# not the eval set, bound its memory.
+PREDICT_SLICE = 256
+
+
 def predict(model: EncoderModel, head: ClassifierHead, batch: Batch) -> np.ndarray:
-    """Argmax class per example, dropout off, no gradient tracking."""
+    """Argmax class per example, dropout off, no gradient tracking.
+
+    The batch is scored in consecutive slices of at most `PREDICT_SLICE`
+    examples, so memory does not grow with its size. An empty batch is
+    still passed through `classify` once, which checks that the head fits
+    the model.
+    """
+    predicted = np.empty(len(batch), dtype=np.intp)
     with no_grad():
-        logits = classify(model, head, batch.token_ids, batch.attention_mask)
-    return np.argmax(logits.data, axis=1)
+        for start in range(0, max(len(batch), 1), PREDICT_SLICE):
+            stop = start + PREDICT_SLICE
+            logits = classify(model, head, batch.token_ids[start:stop],
+                              batch.attention_mask[start:stop])
+            np.argmax(logits.data, axis=1, out=predicted[start:stop])
+    return predicted
 
 
 def accuracy(model: EncoderModel, head: ClassifierHead, batch: Batch) -> float:

@@ -2,14 +2,21 @@
 agreement of tape ops, checked over random shapes and masks."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cascadekd.checkpoint import WEIGHTS_NAME, load_checkpoint, save_checkpoint
+from cascadekd.corpus import Batch
 from cascadekd.distill import total_distill_loss
-from cascadekd.encoder import ForwardTrace
-from cascadekd.tensor import Tensor, backward, layer_norm, linear
+from cascadekd.encoder import ClassifierHead, ForwardTrace, classify
+from cascadekd.errors import DigestMismatchError
+from cascadekd.tensor import Tensor, backward, layer_norm, linear, no_grad
+from cascadekd.training import predict
 
+from test_persistence import tiny_model
 from test_tensor import check_grads
+from test_training import small_model
 
 
 @st.composite
@@ -93,3 +100,49 @@ def test_layer_norm_matches_finite_differences(lead, dim, scale, seed):
     # a fixed step would add truncation error that grows as scale shrinks.
     check_grads(lambda: ((layer_norm(x, gain, bias, 1e-12) - target) ** 2).sum(),
                 [x, gain, bias], h=1e-5 * scale)
+
+
+@pytest.fixture(scope="module")
+def scorer():
+    model = small_model(seed=12)
+    return model, ClassifierHead(model.config.hidden_dim, num_classes=3, seed=13)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(size=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+@example(size=256, seed=0)  # on and just past the slice boundaries
+@example(size=257, seed=1)
+@example(size=512, seed=2)
+@example(size=513, seed=3)
+def test_predict_in_slices_equals_one_pass_argmax(scorer, size, seed):
+    model, head = scorer
+    rng = np.random.default_rng(seed)
+    seq = model.config.max_seq_len
+    lengths = rng.integers(1, seq + 1, size=size)
+    batch = Batch(rng.integers(0, model.config.vocab_size, size=(size, seq)),
+                  np.arange(seq)[None, :] < lengths[:, None])
+    with no_grad():
+        logits = classify(model, head, batch.token_ids, batch.attention_mask)
+    assert np.array_equal(predict(model, head, batch), np.argmax(logits.data, axis=1))
+
+
+@pytest.fixture(scope="module")
+def saved_weights(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("ckpt")
+    save_checkpoint(directory, tiny_model(), head=ClassifierHead(8, num_classes=3, seed=5))
+    return directory, (directory / WEIGHTS_NAME).read_bytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), bit=st.integers(0, 7))
+def test_any_flipped_weights_bit_fails_the_digest(saved_weights, data, bit):
+    directory, raw = saved_weights
+    offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    flipped = bytearray(raw)
+    flipped[offset] ^= 1 << bit
+    (directory / WEIGHTS_NAME).write_bytes(bytes(flipped))
+    try:
+        with pytest.raises(DigestMismatchError):
+            load_checkpoint(directory)
+    finally:
+        (directory / WEIGHTS_NAME).write_bytes(raw)

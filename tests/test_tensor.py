@@ -1,9 +1,16 @@
 """Autodiff core: forward values against hand-worked cases, every
 backward pass against central differences."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cascadekd
 from cascadekd.errors import (
     AllMaskedError,
     EmptyTensorError,
@@ -241,6 +248,50 @@ def test_grad_accumulates_across_branches():
     y = x * 3.0 + x * 5.0
     backward(y.sum())
     assert np.allclose(x.grad, [8.0])
+
+
+def test_shared_gradient_arrays_are_not_merged_in_place():
+    # Add returns one array to both parents: x merges two more gradients
+    # into it, u and v each keep it, and a second pass accumulates onto
+    # every leaf.
+    x, y, u, v = (Tensor([1.0, 2.0], requires_grad=True) for _ in range(4))
+    for passes in (1, 2):
+        backward(((x + y) + x * 3.0 + x * 5.0 + (u + v)).sum())
+        assert np.array_equal(x.grad, [9.0 * passes] * 2)
+        for leaf in (y, u, v):
+            assert np.array_equal(leaf.grad, [1.0 * passes] * 2)
+        assert not np.shares_memory(x.grad, y.grad)
+        assert not np.shares_memory(u.grad, v.grad)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap policy is glibc's mallopt")
+def test_import_keeps_freed_heap_pages_mapped():
+    # 100 arrays of 96 kB sit under glibc's default mmap threshold; with the
+    # default trim threshold the freed heap is returned to the OS each round
+    # and faulted back in the next.
+    import resource
+
+    script = """
+import resource
+import numpy as np
+import cascadekd
+
+def churn():
+    arrays = [np.ones(96 * 1024 // 8) for _ in range(100)]
+    del arrays
+
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = Path(cascadekd.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    pages_per_round = 100 * 96 * 1024 // resource.getpagesize()
+    assert int(done.stdout) / 50 < 0.1 * pages_per_round
 
 
 def test_no_grad_blocks_taping():

@@ -1,6 +1,7 @@
 """Optimization: schedule values, Adam against a functional replay,
 accumulation invariance, fine-tuning, and evaluation."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from cascadekd.corpus import Batch, TokenizerVocab, encode_batch
 from cascadekd.encoder import ClassifierHead, EncoderModel, ModelConfig, init_random
 from cascadekd.errors import (
+    DimensionMismatchError,
     EmptyEvalSetError,
     InvalidConfigError,
     LabelOutOfRangeError,
@@ -354,3 +356,32 @@ def test_zero_shot_eval_errors():
                   np.zeros((0, 4), dtype=bool), labels=[])
     with pytest.raises(EmptyEvalSetError):
         zero_shot_eval(model, head, {"x": empty})
+
+
+def test_predict_checks_head_width_for_every_batch():
+    model = small_model()
+    empty = Batch(np.zeros((0, 6), dtype=np.int64), np.zeros((0, 6), dtype=bool))
+    assert predict(model, ClassifierHead(8, num_classes=3, seed=1), empty).shape == (0,)
+    wrong = ClassifierHead(4, num_classes=3, seed=1)
+    for size in (0, 300):
+        batch = Batch(np.ones((size, 6), dtype=np.int64), np.ones((size, 6), dtype=bool))
+        with pytest.raises(DimensionMismatchError):
+            predict(model, wrong, batch)
+
+
+def test_predict_memory_does_not_grow_with_batch_size():
+    model = small_model(seed=14)
+    head = ClassifierHead(8, num_classes=3, seed=15)
+    rng = np.random.default_rng(16)
+    seq = model.config.max_seq_len
+
+    def peak_bytes(size):
+        batch = Batch(rng.integers(0, 16, size=(size, seq)), np.ones((size, seq), dtype=bool))
+        tracemalloc.start()
+        try:
+            predict(model, head, batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(2048) <= 2 * peak_bytes(256)
