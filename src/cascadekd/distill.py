@@ -19,6 +19,7 @@ the attention losses; divisors count only included elements.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -244,6 +245,18 @@ def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterat
     The student starts as `top_layer_init(teacher)` and takes `plan.steps`
     optimizer steps minimizing the total distillation loss; the teacher is
     never modified. Returns the student and the per-step loss trace.
+
+    The teacher's no-grad forward runs on one worker thread, one
+    micro-batch ahead of the student's forward and backward passes on the
+    calling thread, across step boundaries (micro-batch pipelining as in
+    GPipe). Results are bit-identical to running the two in turn:
+    - each step's batch is pulled, and its (teacher, student) dropout
+      seeds drawn, when its first micro-batch goes to the worker, so the
+      stream is read exactly `plan.steps` times;
+    - a stream that runs out fails at the step that lacked a batch, after
+      every earlier step has finished and reported its metrics;
+    - an error in the teacher's forward is raised at the step its
+      micro-batch belongs to.
     """
     if teacher.num_layers != plan.teacher_depth:
         raise DepthMismatchError(
@@ -253,33 +266,60 @@ def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterat
     schedule = plan.schedule()
     rng = np.random.default_rng(seed)
 
+    def teacher_forward(micro: Batch, teacher_seed: int) -> ForwardTrace:
+        with no_grad():
+            return teacher.forward(micro.token_ids, micro.attention_mask,
+                                   training_mode=dropout, dropout_seed=teacher_seed)
+
     loss_trace: list[float] = []
-    for step in range(plan.steps):
-        try:
-            batch = next(data_stream)
-        except StopIteration:
-            raise DataExhaustedError(
-                f"data stream exhausted at step {step} of {plan.steps}") from None
-        teacher_seed = int(rng.integers(2**63))
-        student_seed = int(rng.integers(2**63))
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        def begin(step: int):
+            """Pull the step's batch, draw its seeds and submit the teacher
+            forward of its first micro-batch."""
+            try:
+                batch = next(data_stream)
+            except StopIteration:
+                raise DataExhaustedError(
+                    f"data stream exhausted at step {step} of {plan.steps}") from None
+            teacher_seed = int(rng.integers(2**63))
+            student_seed = int(rng.integers(2**63))
+            micros = batch.split(plan.optimizer.micro_batch_size)
+            first = worker.submit(teacher_forward, micros[0], teacher_seed) if micros else None
+            return micros, teacher_seed, student_seed, first
 
-        def loss_fn(micro: Batch) -> Tensor:
-            with no_grad():
-                t_trace = teacher.forward(micro.token_ids, micro.attention_mask,
-                                          training_mode=dropout, dropout_seed=teacher_seed)
-            s_trace = student.forward(micro.token_ids, micro.attention_mask,
-                                      training_mode=dropout, dropout_seed=student_seed)
-            return total_distill_loss(t_trace, s_trace)
+        upcoming = begin(0)
+        for step in range(plan.steps):
+            micros, teacher_seed, student_seed, ahead = upcoming
+            upcoming = exhausted = None
+            following = iter(micros[1:])
 
-        micros = batch.split(plan.optimizer.micro_batch_size)
-        lr = lr_at(schedule, plan.optimizer.peak_lr, step)
-        try:
-            loss = accumulate_and_step(loss_fn, micros, optimizer, lr)
-        except NonFiniteLossError as exc:
-            raise NonFiniteLossError(f"stage {stage_index} step {step}: {exc}") from None
-        loss_trace.append(loss)
-        if metrics is not None:
-            metrics({"stage": stage_index, "step": step, "lr": lr, "loss": loss})
+            def loss_fn(micro: Batch) -> Tensor:
+                nonlocal ahead, upcoming, exhausted
+                current, ahead = ahead, None
+                successor = next(following, None)
+                if successor is not None:
+                    ahead = worker.submit(teacher_forward, successor, teacher_seed)
+                elif step + 1 < plan.steps:
+                    try:
+                        upcoming = begin(step + 1)
+                    except DataExhaustedError as exc:
+                        exhausted = exc  # raised once this step is done
+                # The student's forward needs no teacher trace, so it runs
+                # first: a stage's first micro-batch overlaps it too.
+                s_trace = student.forward(micro.token_ids, micro.attention_mask,
+                                          training_mode=dropout, dropout_seed=student_seed)
+                return total_distill_loss(current.result(), s_trace)
+
+            lr = lr_at(schedule, plan.optimizer.peak_lr, step)
+            try:
+                loss = accumulate_and_step(loss_fn, micros, optimizer, lr)
+            except NonFiniteLossError as exc:
+                raise NonFiniteLossError(f"stage {stage_index} step {step}: {exc}") from None
+            loss_trace.append(loss)
+            if metrics is not None:
+                metrics({"stage": stage_index, "step": step, "lr": lr, "loss": loss})
+            if exhausted is not None:
+                raise exhausted
     return student, loss_trace
 
 

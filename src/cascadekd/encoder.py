@@ -7,10 +7,13 @@ and n attention records. Architecture follows the BERT-base conventions:
 GELU feed-forward, post-layer-norm residual blocks, learned absolute
 positions, first-token pooling for classification.
 
-Every affine map (Q, K, V, the output projection, both feed-forward maps,
-the pooler and the classifier output) is one fused `Linear` tape node, and
-every layer norm is one fused `LayerNorm` node, each with a hand-written
-backward pass.
+Each sublayer is one fused tape node with a hand-written backward pass:
+`AttentionScores` (the Q and K maps and the scaled per-head scores),
+`AttentionContext` (the per-head weighted values, merged), `FeedForward`
+(both feed-forward maps around the GELU), `LayerNorm`, and `Linear` for
+V, the output projection, the pooler and the classifier output. The
+softmax between scores and context is its own node, since the attention
+record may be captured on either side of it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,16 @@ from .errors import (
     SequenceTooLongError,
     TokenOutOfRangeError,
 )
-from .tensor import Tensor, gather_rows, gelu, layer_norm, linear, softmax_rows
+from .tensor import (
+    Tensor,
+    attention_context,
+    attention_scores,
+    feed_forward,
+    gather_rows,
+    layer_norm,
+    linear,
+    softmax_rows,
+)
 
 INIT_STD = 0.02
 LAYER_NORM_EPS = 1e-12
@@ -80,7 +92,7 @@ class EncoderLayer:
     """Weights of one encoder layer.
 
     Attention projections are stored fused over heads (d x d); the forward
-    pass reshapes them into per-head blocks.
+    pass splits them into per-head blocks.
     """
 
     PARAM_NAMES = (
@@ -227,29 +239,16 @@ class EncoderModel:
     def _layer_forward(self, layer: EncoderLayer, x: Tensor, mask: np.ndarray,
                        rng, dropping: bool) -> tuple[Tensor, Tensor]:
         cfg = self.config
-        batch, seq_len, d = x.shape
-        heads, head_dim = cfg.num_heads, cfg.head_dim
-
-        def split_heads(t):
-            # (B, T, d) -> (B, H, T, d/H)
-            return t.reshape(batch, seq_len, heads, head_dim).permute(0, 2, 1, 3)
-
-        q = split_heads(linear(x, layer.wq, layer.bq))
-        k = split_heads(linear(x, layer.wk, layer.bk))
-        v = split_heads(linear(x, layer.wv, layer.bv))
-
-        scores = (q @ k.permute(0, 1, 3, 2)) * (1.0 / np.sqrt(head_dim))
-        key_mask = mask[:, None, None, :]
-        probs = softmax_rows(scores, mask=key_mask)
+        scores = attention_scores(x, layer.wq, layer.bq, layer.wk, layer.bk, cfg.num_heads)
+        probs = softmax_rows(scores, mask=mask[:, None, None, :])
         captured = scores if cfg.attention_capture == PRE_SOFTMAX_SCALED else probs
 
-        context = (probs @ v).permute(0, 2, 1, 3).reshape(batch, seq_len, d)
+        context = attention_context(probs, linear(x, layer.wv, layer.bv), cfg.num_heads)
         attn_out = linear(context, layer.wo, layer.bo)
         attn_out = _dropout(attn_out, cfg.dropout_rate, rng, dropping)
         x = layer_norm(x + attn_out, layer.ln_attn_gain, layer.ln_attn_bias, LAYER_NORM_EPS)
 
-        ffn = linear(gelu(linear(x, layer.w_ffn_in, layer.b_ffn_in)),
-                     layer.w_ffn_out, layer.b_ffn_out)
+        ffn = feed_forward(x, layer.w_ffn_in, layer.b_ffn_in, layer.w_ffn_out, layer.b_ffn_out)
         ffn = _dropout(ffn, cfg.dropout_rate, rng, dropping)
         x = layer_norm(x + ffn, layer.ln_ffn_gain, layer.ln_ffn_bias, LAYER_NORM_EPS)
         return x, captured

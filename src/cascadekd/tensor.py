@@ -4,23 +4,38 @@ Every differentiable operation is a `Function` that records its parents;
 a backward pass walks the resulting graph once in reverse topological
 order, accumulating gradients into the `grad` field of leaf tensors that
 have `requires_grad` set. A graph belongs to a single thread. Grad mode
-is process-wide: `no_grad` flips one module-level flag, so it switches
-recording off for every thread while the block runs.
+is per thread: `no_grad` switches recording off only for the thread that
+enters it, so one thread can run a no-grad forward while another records.
+
+The tape keeps only what backward reads. `Function.apply` records in
+`ctx.needs` which inputs need a gradient. An input that needs none is
+stored in `ctx.parents` as one shared, empty constant, so its array is
+freed as soon as nothing else holds it, and the ops neither save nor
+compute what only its gradient would use.
+
+The encoder's sublayers are single fused nodes: `Linear`, `LayerNorm`,
+`AttentionScores`, `AttentionContext` and `FeedForward`. Each forward pass
+runs the numpy operations of its step-by-step composition in the same
+order, so its values are bit-equal to that composition.
 
 All data is 64-bit IEEE-754, row-major. First-order gradients only.
 
-Heap policy: importing this module fixes two glibc malloc parameters for
-the process, once. Blocks under 32 MiB come from the heap, and the heap
-is given back to the OS only when more than 1 GiB at its top is free.
-With glibc's defaults, each freed step graph is trimmed from the heap and
-the next step faults the same pages back in. This is a fixed policy, not
-a setting. On a C library without `mallopt` (not glibc) nothing changes.
+Heap policy: importing this module fixes three glibc malloc parameters
+for the process, once. Blocks under 32 MiB come from the heap, the heap
+is given back to the OS only when more than 1 GiB at its top is free, and
+every thread allocates from the one main arena. With glibc's defaults,
+each freed step graph is trimmed from the heap and the next step faults
+the same pages back in, and a worker thread's allocations go to an arena
+of their own instead of reusing the space the main thread freed. This is
+a fixed policy, not a setting. On a C library without `mallopt` (not
+glibc) nothing changes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import threading
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -38,11 +53,10 @@ from .errors import (
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-_grad_enabled = True
-
 # glibc's mallopt parameter numbers (malloc.h).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _fix_heap_policy() -> None:
@@ -55,25 +69,33 @@ def _fix_heap_policy() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _fix_heap_policy()
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block (constants come out)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording in this thread inside the block (constants
+    come out); other threads keep recording."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 def is_grad_enabled() -> bool:
-    return _grad_enabled
+    return _grad_mode.enabled
 
 
 class Tensor:
@@ -153,26 +175,11 @@ class Tensor:
             raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
         return Mul.apply(self, _as_tensor(1.0 / float(other)))
 
-    def __matmul__(self, other):
-        return MatMul.apply(self, _as_tensor(other))
-
     def __pow__(self, exponent):
         return Pow.apply(self, exponent=float(exponent))
 
     def __getitem__(self, key):
         return Slice.apply(self, key=key)
-
-    # -- shape ops --------------------------------------------------------
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return Reshape.apply(self, shape=shape)
-
-    def permute(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return Permute.apply(self, axes=axes)
 
     # -- reductions and pointwise ops --------------------------------------
 
@@ -213,10 +220,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Function:
-    """One differentiable operation: a node of the backward graph."""
+    """One differentiable operation: a node of the backward graph.
 
-    def __init__(self, *parents: Tensor):
-        self.parents = parents
+    `apply` sets `needs` before `forward` runs: one flag per input, True
+    where that input needs a gradient. `forward` saves only what the needed
+    gradients read, and `backward` returns None for every other input.
+    """
+
+    needs: tuple = ()
+    parents: tuple = ()
 
     def forward(self, *arrays: np.ndarray, **kwargs) -> np.ndarray:
         raise NotImplementedError
@@ -227,13 +239,22 @@ class Function:
 
     @classmethod
     def apply(cls, *tensors: Tensor, **kwargs) -> Tensor:
-        ctx = cls(*tensors)
-        out_data = ctx.forward(*(t.data for t in tensors), **kwargs)
-        needs_grad = _grad_enabled and any(t.requires_grad or t._ctx is not None for t in tensors)
-        out = Tensor(out_data, requires_grad=needs_grad)
-        if needs_grad:
+        ctx = cls()
+        if _grad_mode.enabled:
+            ctx.needs = tuple(t.requires_grad or t._ctx is not None for t in tensors)
+        else:
+            ctx.needs = (False,) * len(tensors)
+        out = Tensor(ctx.forward(*(t.data for t in tensors), **kwargs))
+        if any(ctx.needs):
+            ctx.parents = tuple(t if need else _CONSTANT
+                                for t, need in zip(tensors, ctx.needs))
+            out.requires_grad = True
             out._ctx = ctx
         return out
+
+
+# Stands in, in `Function.parents`, for every input that needs no gradient.
+_CONSTANT = Tensor(np.empty(0))
 
 
 def backward(loss: Tensor) -> None:
@@ -274,15 +295,16 @@ def backward(loss: Tensor) -> None:
         grad = flowing.pop(id(node), None)
         if grad is None:
             continue
-        if node._ctx is None:
+        ctx = node._ctx
+        if ctx is None:
             if node.requires_grad:
                 if node.grad is None:
                     node.grad = grad if id(node) in owned else grad.copy()
                 else:
                     node.grad += grad
             continue
-        for parent, pgrad in zip(node._ctx.parents, node._ctx.backward(grad)):
-            if pgrad is None:
+        for parent, need, pgrad in zip(ctx.parents, ctx.needs, ctx.backward(grad)):
+            if not need or pgrad is None:
                 continue
             key = id(parent)
             if key in owned:
@@ -304,7 +326,8 @@ class Add(Function):
         return a + b
 
     def backward(self, g):
-        return _unbroadcast(g, self.shapes[0]), _unbroadcast(g, self.shapes[1])
+        return tuple(_unbroadcast(g, shape) if need else None
+                     for shape, need in zip(self.shapes, self.needs))
 
 
 class Sub(Function):
@@ -318,11 +341,17 @@ class Sub(Function):
 
 class Mul(Function):
     def forward(self, a, b):
-        self.a, self.b = a, b
+        # Each factor is kept only for the other one's gradient.
+        need_a, need_b = self.needs
+        self.shapes = (a.shape, b.shape)
+        self.a = a if need_b else None
+        self.b = b if need_a else None
         return a * b
 
     def backward(self, g):
-        return _unbroadcast(g * self.b, self.a.shape), _unbroadcast(g * self.a, self.b.shape)
+        need_a, need_b = self.needs
+        return (_unbroadcast(g * self.b, self.shapes[0]) if need_a else None,
+                _unbroadcast(g * self.a, self.shapes[1]) if need_b else None)
 
 
 class Neg(Function):
@@ -351,45 +380,33 @@ class Tanh(Function):
         return (g * (1.0 - self.out * self.out),)
 
 
-class Gelu(Function):
-    """Gaussian error linear unit, exact erf form."""
-
-    def forward(self, a):
-        self.a = a
-        self.cdf = 0.5 * (1.0 + erf(a / _SQRT2))
-        return a * self.cdf
-
-    def backward(self, g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * self.a * self.a)
-        return (g * (self.cdf + self.a * pdf),)
+def _affine(x, w, b):
+    """`x @ w + b`, the product written into and then shifted in place."""
+    out = np.matmul(x, w)
+    out += b
+    return out
 
 
-class MatMul(Function):
-    def forward(self, a, b):
-        self.a, self.b = a, b
-        return np.matmul(a, b)
-
-    def backward(self, g):
-        ga = np.matmul(g, np.swapaxes(self.b, -1, -2))
-        gb = np.matmul(np.swapaxes(self.a, -1, -2), g)
-        return _unbroadcast(ga, self.a.shape), _unbroadcast(gb, self.b.shape)
+def _affine_grads(g, x, w, needs):
+    """Gradients of `x @ w + b` w.r.t. (x, w, b) for upstream `g`, each
+    only where `needs` asks for it; the weight gradient is one 2-D product
+    over all leading positions."""
+    rows = g.reshape(-1, g.shape[-1])
+    return (np.matmul(g, w.T) if needs[0] else None,
+            x.reshape(-1, x.shape[-1]).T @ rows if needs[1] else None,
+            rows.sum(axis=0) if needs[2] else None)
 
 
 class Linear(Function):
-    """Affine map `x @ w + b` over the last axis of `x`; the weight
-    gradient is one 2-D product over all leading positions."""
+    """Affine map `x @ w + b` over the last axis of `x`."""
 
     def forward(self, x, w, b):
-        self.x, self.w = x, w
-        out = np.matmul(x, w)
-        out += b
-        return out
+        self.x = x if self.needs[1] else None
+        self.w = w if self.needs[0] else None
+        return _affine(x, w, b)
 
     def backward(self, g):
-        d_in, d_out = self.w.shape
-        rows = g.reshape(-1, d_out)
-        gw = self.x.reshape(-1, d_in).T @ rows
-        return np.matmul(g, self.w.T), gw, rows.sum(axis=0)
+        return _affine_grads(g, self.x, self.w, self.needs)
 
 
 class LayerNorm(Function):
@@ -420,6 +437,116 @@ class LayerNorm(Function):
         return gx, ggain, rows.sum(axis=0)
 
 
+def _split_heads(t, heads):
+    """(B, T, d) -> a (B, H, T, d/H) view."""
+    batch, seq_len, d = t.shape
+    return np.transpose(t.reshape((batch, seq_len, heads, d // heads)), (0, 2, 1, 3))
+
+
+def _merge_heads(t):
+    """(B, H, T, d/H) -> a (B, T, d) copy."""
+    batch, heads, seq_len, head_dim = t.shape
+    return np.transpose(t, (0, 2, 1, 3)).reshape((batch, seq_len, heads * head_dim))
+
+
+class AttentionScores(Function):
+    """Scaled per-head scores `q k^T / sqrt(d/H)` of (B, H, T, T), with
+    `q = x @ wq + bq` and `k = x @ wk + bk` split into H heads.
+
+    Its values are bit-equal to the step-by-step numpy composition: both
+    affine maps, the head split by reshape and transpose, the batched
+    product and the scale. Backward keeps the per-head q and k.
+    """
+
+    def forward(self, x, wq, bq, wk, bk, heads):
+        q = _split_heads(_affine(x, wq, bq), heads)
+        k = _split_heads(_affine(x, wk, bk), heads)
+        self.scale = 1.0 / np.sqrt(q.shape[-1])
+        scores = np.matmul(q, np.transpose(k, (0, 1, 3, 2)))
+        scores *= self.scale
+        needs = self.needs
+        # The query side's gradients read k, the key side's read q.
+        self.k = k if any(needs[:3]) else None
+        self.q = q if needs[0] or needs[3] or needs[4] else None
+        self.x = x if needs[1] or needs[3] else None
+        self.wq, self.wk = (wq, wk) if needs[0] else (None, None)
+        return scores
+
+    def backward(self, g):
+        needs = self.needs
+        g = g * self.scale
+        gx = gwq = gbq = gwk = gbk = None
+        if self.k is not None:
+            gq = _merge_heads(np.matmul(g, self.k))
+            gx, gwq, gbq = _affine_grads(gq, self.x, self.wq, needs[:3])
+        if self.q is not None:
+            gk = _merge_heads(np.matmul(np.swapaxes(g, -1, -2), self.q))
+            gx_k, gwk, gbk = _affine_grads(gk, self.x, self.wk, (needs[0], needs[3], needs[4]))
+            if needs[0]:
+                gx += gx_k
+        return gx, gwq, gbq, gwk, gbk
+
+
+class AttentionContext(Function):
+    """Per-head context `probs @ v`, with the (B, T, d) values split into
+    H heads, merged back to (B, T, d).
+
+    Its values are bit-equal to the step-by-step numpy composition: the
+    head split, the batched product, and the merge by transpose and
+    reshape.
+    """
+
+    def forward(self, probs, v, heads):
+        v_heads = _split_heads(v, heads)
+        self.heads = heads
+        self.probs = probs if self.needs[1] else None
+        self.v = v_heads if self.needs[0] else None
+        return _merge_heads(np.matmul(probs, v_heads))
+
+    def backward(self, g):
+        g = _split_heads(g, self.heads)
+        gprobs = np.matmul(g, np.swapaxes(self.v, -1, -2)) if self.needs[0] else None
+        gv = _merge_heads(np.matmul(np.swapaxes(self.probs, -1, -2), g)) \
+            if self.needs[1] else None
+        return gprobs, gv
+
+
+class FeedForward(Function):
+    """`gelu(x @ w_in + b_in) @ w_out + b_out`, GELU in its exact erf form.
+
+    Its values are bit-equal to the step-by-step numpy composition: the
+    affine map, `pre * 0.5 * (1 + erf(pre / sqrt(2)))`, the affine map;
+    the erf is computed in place. Backward keeps the pre-activation and
+    the Gaussian cdf, and recomputes the activation.
+    """
+
+    def forward(self, x, w_in, b_in, w_out, b_out):
+        pre = _affine(x, w_in, b_in)
+        cdf = pre / _SQRT2
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        if not any(self.needs):
+            cdf *= pre  # the activation, in place: backward will not run
+            del pre
+            return _affine(cdf, w_out, b_out)
+        self.pre, self.cdf, self.w_out = pre, cdf, w_out
+        self.x = x if self.needs[1] else None
+        self.w_in = w_in if self.needs[0] else None
+        return _affine(pre * cdf, w_out, b_out)
+
+    def backward(self, g):
+        needs = self.needs
+        _, gw_out, gb_out = _affine_grads(g, self.pre * self.cdf if needs[3] else None,
+                                          self.w_out, (False, needs[3], needs[4]))
+        if not any(needs[:3]):
+            return None, None, None, gw_out, gb_out
+        gpre = np.matmul(g, self.w_out.T)
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * self.pre * self.pre)
+        gpre *= self.cdf + self.pre * pdf
+        return (*_affine_grads(gpre, self.x, self.w_in, needs[:3]), gw_out, gb_out)
+
+
 class Sum(Function):
     def forward(self, a, axis, keepdims):
         self.shape, self.axis, self.keepdims = a.shape, axis, keepdims
@@ -429,24 +556,6 @@ class Sum(Function):
         if self.axis is not None and not self.keepdims:
             g = np.expand_dims(g, self.axis)
         return (np.broadcast_to(g, self.shape).copy(),)
-
-
-class Reshape(Function):
-    def forward(self, a, shape):
-        self.shape = a.shape
-        return a.reshape(shape)
-
-    def backward(self, g):
-        return (g.reshape(self.shape),)
-
-
-class Permute(Function):
-    def forward(self, a, axes):
-        self.axes = axes
-        return np.transpose(a, axes)
-
-    def backward(self, g):
-        return (np.transpose(g, np.argsort(self.axes)),)
 
 
 class Slice(Function):
@@ -474,16 +583,49 @@ class GatherRows(Function):
         return (out,)
 
 
-def gelu(x: Tensor) -> Tensor:
-    return Gelu.apply(x)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """`x @ w + b` for a (d_in, d_out) weight and a (d_out,) bias."""
     if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
         raise ShapeMismatchError(
             f"linear shapes do not fit: x {x.shape}, w {w.shape}, b {b.shape}")
     return Linear.apply(x, w, b)
+
+
+def attention_scores(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
+                     heads: int) -> Tensor:
+    """Scaled per-head scores (B, H, T, T) of a (B, T, d) input under
+    (d, d) query/key weights and (d,) biases."""
+    d = x.shape[-1]
+    if x.ndim != 3 or heads < 1 or d % heads or \
+            any(w.shape != (d, d) for w in (wq, wk)) or any(b.shape != (d,) for b in (bq, bk)):
+        raise ShapeMismatchError(
+            f"attention_scores shapes do not fit: x {x.shape}, {heads} heads, "
+            f"wq {wq.shape}, bq {bq.shape}, wk {wk.shape}, bk {bk.shape}")
+    return AttentionScores.apply(x, wq, bq, wk, bk, heads=heads)
+
+
+def attention_context(probs: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Per-head `probs @ v` for (B, H, T, T) weights and (B, T, d) values,
+    merged back to (B, T, d)."""
+    if v.ndim != 3 or heads < 1 or v.shape[-1] % heads or \
+            probs.shape != (v.shape[0], heads, v.shape[1], v.shape[1]):
+        raise ShapeMismatchError(
+            f"attention_context shapes do not fit: probs {probs.shape}, v {v.shape}, "
+            f"{heads} heads")
+    return AttentionContext.apply(probs, v, heads=heads)
+
+
+def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor,
+                 b_out: Tensor) -> Tensor:
+    """`gelu(x @ w_in + b_in) @ w_out + b_out` with exact-erf GELU, for
+    (d, f) and (f, d) weights."""
+    d = x.shape[-1]
+    if w_in.ndim != 2 or w_in.shape[0] != d or b_in.shape != w_in.shape[1:] or \
+            w_out.shape != (w_in.shape[1], d) or b_out.shape != (d,):
+        raise ShapeMismatchError(
+            f"feed_forward shapes do not fit: x {x.shape}, w_in {w_in.shape}, "
+            f"b_in {b_in.shape}, w_out {w_out.shape}, b_out {b_out.shape}")
+    return FeedForward.apply(x, w_in, b_in, w_out, b_out)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
@@ -560,7 +702,7 @@ class Mse(Function):
 
     def backward(self, g):
         base = g * 2.0 * self.diff / self.n
-        return base, -base
+        return (base if self.needs[0] else None), (-base if self.needs[1] else None)
 
 
 def mse(x: Tensor, y: Tensor, include=None) -> Tensor:

@@ -1,6 +1,9 @@
 """Distillation: student initialization, the adjacent-layer-averaging
 losses against hand values and an explicit-loop reference, stage and
-cascade execution."""
+cascade execution, and the pipelined teacher's contract."""
+
+import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -32,10 +35,11 @@ from cascadekd.errors import (
     HeadCountMismatchError,
     InvalidConfigError,
     LayerIndexOutOfRangeError,
+    NonFiniteLossError,
     TeacherTooShallowError,
 )
 from cascadekd.tensor import Tensor, backward, no_grad
-from cascadekd.training import OptimizerConfig, ScheduleConfig
+from cascadekd.training import Adam, OptimizerConfig, ScheduleConfig, accumulate_and_step, lr_at
 
 from oracles import reference_distill_loss
 
@@ -391,14 +395,18 @@ def test_run_stage_basics():
 
 
 def test_run_stage_exhausted_stream():
+    # Every step that had a batch finishes and reports before the error,
+    # which names the first step without one.
     rng = np.random.default_rng(8)
     teacher = init_random(toy_config(num_layers=2), seed=9)
     plan = DistillStagePlan(teacher_depth=2, student_depth=1,
-                            optimizer=optimizer_config(), steps=5,
+                            optimizer=optimizer_config(micro_batch_size=2), steps=5,
                             warmup_steps=2)
-    with pytest.raises(DataExhaustedError):
+    records = []
+    with pytest.raises(DataExhaustedError, match="at step 3 of 5"):
         run_stage(plan, teacher, iter(random_batches(rng, 3)), seed=0,
-                  dropout=False)
+                  dropout=False, metrics=records.append)
+    assert [r["step"] for r in records] == [0, 1, 2]
 
 
 def test_run_stage_depth_check():
@@ -441,3 +449,112 @@ def test_run_cascade_chains_and_slices():
     with pytest.raises(DepthMismatchError):
         run_cascade(plan, result.final_model, iter(random_batches(rng, 6)),
                     seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the pipelined teacher
+# ---------------------------------------------------------------------------
+
+def sequential_stage(plan, teacher, batches, seed):
+    """`run_stage` as a plain loop: each micro-batch's teacher forward runs
+    just before its student forward, on the calling thread."""
+    student = top_layer_init(teacher)
+    optimizer = Adam(student.trainable_parameters(), plan.optimizer)
+    rng = np.random.default_rng(seed)
+    losses = []
+    for step in range(plan.steps):
+        batch = next(batches)
+        teacher_seed, student_seed = int(rng.integers(2**63)), int(rng.integers(2**63))
+
+        def loss_fn(micro):
+            with no_grad():
+                t_trace = teacher.forward(micro.token_ids, micro.attention_mask,
+                                          training_mode=True, dropout_seed=teacher_seed)
+            s_trace = student.forward(micro.token_ids, micro.attention_mask,
+                                      training_mode=True, dropout_seed=student_seed)
+            return total_distill_loss(t_trace, s_trace)
+
+        lr = lr_at(plan.schedule(), plan.optimizer.peak_lr, step)
+        losses.append(accumulate_and_step(
+            loss_fn, batch.split(plan.optimizer.micro_batch_size), optimizer, lr))
+    return student, losses
+
+
+def test_pipelined_stage_equals_sequential_loop():
+    teacher = init_random(toy_config(num_layers=3, dropout_rate=0.2), seed=16)
+    plan = DistillStagePlan(teacher_depth=3, student_depth=2,
+                            optimizer=optimizer_config(batch_size=6, micro_batch_size=2),
+                            steps=4, warmup_steps=2)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two threads as finely as possible
+    try:
+        for stage in (run_stage, sequential_stage):
+            rng = np.random.default_rng(17)
+            runs.append(stage(plan, teacher, iter(random_batches(rng, 4, batch=6)), seed=18))
+    finally:
+        sys.setswitchinterval(interval)
+    (piped, piped_losses), (plain, plain_losses) = runs
+    assert piped_losses == plain_losses
+    for (name, a), (_, b) in zip(piped.parameters(), plain.parameters()):
+        assert np.array_equal(a.data, b.data), name
+
+
+class CountingStream:
+    def __init__(self, batches):
+        self._it = iter(batches)
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        batch = next(self._it)
+        self.pulled += 1
+        return batch
+
+
+def test_run_stage_pulls_exactly_its_steps_from_the_stream():
+    rng = np.random.default_rng(19)
+    teacher = init_random(toy_config(num_layers=2), seed=20)
+    for micro in (1, 2, 4):
+        plan = DistillStagePlan(teacher_depth=2, student_depth=1,
+                                optimizer=optimizer_config(micro_batch_size=micro),
+                                steps=3, warmup_steps=1)
+        stream = CountingStream(itertools.cycle(random_batches(rng, 2)))
+        run_stage(plan, teacher, stream, seed=0)
+        assert stream.pulled == plan.steps
+
+
+class FailingForward:
+    """Stands in for a model's `forward` and raises on its `fail_at`-th call."""
+
+    def __init__(self, forward, fail_at, error):
+        self.forward, self.fail_at, self.error = forward, fail_at, error
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise self.error
+        return self.forward(*args, **kwargs)
+
+
+@pytest.mark.parametrize("error, message", [
+    (RuntimeError("teacher failed"), "^teacher failed$"),
+    (NonFiniteLossError("teacher failed"), "^stage 4 step 2: teacher failed$"),
+])
+def test_teacher_error_surfaces_at_its_micro_batch_step(error, message):
+    # Two micro-batches per step: the fifth teacher call is step 2's first
+    # micro-batch, which the worker runs while the student is on step 1.
+    rng = np.random.default_rng(21)
+    teacher = init_random(toy_config(num_layers=2), seed=22)
+    teacher.forward = FailingForward(teacher.forward, fail_at=5, error=error)
+    plan = DistillStagePlan(teacher_depth=2, student_depth=1,
+                            optimizer=optimizer_config(micro_batch_size=2), steps=4,
+                            warmup_steps=1)
+    records = []
+    with pytest.raises(type(error), match=message):
+        run_stage(plan, teacher, iter(random_batches(rng, 4)), seed=0, stage_index=4,
+                  metrics=records.append)
+    assert [r["step"] for r in records] == [0, 1]

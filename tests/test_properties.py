@@ -9,9 +9,25 @@ from hypothesis import strategies as st
 from cascadekd.checkpoint import WEIGHTS_NAME, load_checkpoint, save_checkpoint
 from cascadekd.corpus import Batch
 from cascadekd.distill import total_distill_loss
-from cascadekd.encoder import ClassifierHead, ForwardTrace, classify
+from cascadekd.encoder import (
+    CAPTURE_MODES,
+    PRE_SOFTMAX_SCALED,
+    ClassifierHead,
+    ForwardTrace,
+    classify,
+)
 from cascadekd.errors import DigestMismatchError
-from cascadekd.tensor import Tensor, backward, layer_norm, linear, no_grad
+from cascadekd.tensor import (
+    Tensor,
+    attention_context,
+    attention_scores,
+    backward,
+    feed_forward,
+    layer_norm,
+    linear,
+    no_grad,
+    softmax_rows,
+)
 from cascadekd.training import predict
 
 from test_persistence import tiny_model
@@ -100,6 +116,72 @@ def test_layer_norm_matches_finite_differences(lead, dim, scale, seed):
     # a fixed step would add truncation error that grows as scale shrinks.
     check_grads(lambda: ((layer_norm(x, gain, bias, 1e-12) - target) ** 2).sum(),
                 [x, gain, bias], h=1e-5 * scale)
+
+
+@st.composite
+def attention_case(draw):
+    """Shapes of one attention sublayer and a key mask whose rows keep a
+    random-length prefix (at least one real position)."""
+    batch, seq = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    heads, head_dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    lengths = draw(st.lists(st.integers(1, seq), min_size=batch, max_size=batch))
+    mask = np.arange(seq)[None, :] < np.array(lengths)[:, None]
+    return batch, seq, heads, heads * head_dim, mask[:, None, None, :]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=attention_case(), capture=st.sampled_from(CAPTURE_MODES),
+       constant_x=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_attention_scores_match_finite_differences(case, capture, constant_x, seed):
+    batch, seq, heads, d, key_mask = case
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(batch, seq, d)), requires_grad=not constant_x)
+    params = [Tensor(rng.normal(size=shape), requires_grad=True)
+              for shape in ((d, d), (d,), (d, d), (d,))]
+    weights = Tensor(rng.normal(size=(batch, heads, seq, seq)))
+
+    def build():
+        scores = attention_scores(x, *params, heads)
+        if capture != PRE_SOFTMAX_SCALED:
+            scores = softmax_rows(scores, mask=key_mask)
+        return (scores * weights).sum()
+
+    check_grads(build, params + ([] if constant_x else [x]))
+    assert (x.grad is None) == constant_x
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=attention_case(), constant_probs=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_attention_context_matches_finite_differences(case, constant_probs, seed):
+    batch, seq, heads, d, key_mask = case
+    rng = np.random.default_rng(seed)
+    logits = Tensor(rng.normal(size=(batch, heads, seq, seq)), requires_grad=not constant_probs)
+    v = Tensor(rng.normal(size=(batch, seq, d)), requires_grad=True)
+    weights = Tensor(rng.normal(size=(batch, seq, d)))
+
+    def build():
+        probs = softmax_rows(logits, mask=key_mask)
+        if constant_probs:
+            probs = probs.detach()
+        return (attention_context(probs, v, heads) * weights).sum()
+
+    check_grads(build, [v] + ([] if constant_probs else [logits]))
+    assert (logits.grad is None) == constant_probs
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(lead=st.lists(st.integers(1, 3), min_size=1, max_size=2), d=st.integers(1, 4),
+       f=st.integers(1, 5), constant_x=st.booleans(), scale=st.floats(1e-2, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_feed_forward_matches_finite_differences(lead, d, f, constant_x, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(scale * rng.normal(size=(*lead, d)), requires_grad=not constant_x)
+    params = [Tensor(rng.normal(size=shape), requires_grad=True)
+              for shape in ((d, f), (f,), (f, d), (d,))]
+    weights = Tensor(rng.normal(size=(*lead, d)))
+    check_grads(lambda: (feed_forward(x, *params) * weights).sum(),
+                params + ([] if constant_x else [x]))
+    assert (x.grad is None) == constant_x
 
 
 @pytest.fixture(scope="module")

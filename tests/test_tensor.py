@@ -1,14 +1,18 @@
 """Autodiff core: forward values against hand-worked cases, every
-backward pass against central differences."""
+backward pass against central differences, per-thread grad mode and the
+lean tape."""
 
 import os
 import platform
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 import cascadekd
 from cascadekd.errors import (
@@ -19,12 +23,16 @@ from cascadekd.errors import (
     NonScalarLossError,
     ShapeMismatchError,
 )
+from cascadekd import distill
 from cascadekd.tensor import (
     Tensor,
+    attention_context,
+    attention_scores,
     backward,
     cross_entropy,
+    feed_forward,
     gather_rows,
-    gelu,
+    is_grad_enabled,
     layer_norm,
     linear,
     mse,
@@ -70,19 +78,8 @@ def test_arithmetic_forward():
     assert np.allclose((2.0 * a).data, [2, 4, 6])
 
 
-def test_matmul_matches_numpy():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        x = rng.normal(size=(2, 3, 4))
-        y = rng.normal(size=(4, 5))
-        out = Tensor(x) @ Tensor(y)
-        assert np.allclose(out.data, x @ y)
-
-
 def test_shape_ops_forward():
     x = Tensor(np.arange(24.0).reshape(2, 3, 4))
-    assert (x.reshape(6, 4)).shape == (6, 4)
-    assert (x.permute(2, 0, 1)).shape == (4, 2, 3)
     assert np.allclose(x.sum(axis=1).data, x.data.sum(axis=1))
     assert np.allclose(x.sum(axis=-1, keepdims=True).data,
                        x.data.sum(axis=-1, keepdims=True))
@@ -90,10 +87,15 @@ def test_shape_ops_forward():
     assert np.allclose(x[:, 1].data, x.data[:, 1])
 
 
+def identity_feed_forward(x: Tensor) -> Tensor:
+    """`feed_forward` with 1x1 identity maps: GELU alone, elementwise."""
+    return feed_forward(x, Tensor([[1.0]]), Tensor([0.0]), Tensor([[1.0]]), Tensor([0.0]))
+
+
 def test_gelu_values():
     # exact form: x * Phi(x) with the Gaussian CDF
-    x = Tensor([0.0, 1.0, -10.0, 10.0])
-    out = gelu(x).data
+    x = Tensor([[0.0], [1.0], [-10.0], [10.0]])
+    out = identity_feed_forward(x).data[:, 0]
     assert out[0] == 0.0
     assert np.isclose(out[1], 0.8413447460685429)
     assert abs(out[2]) < 1e-8
@@ -191,8 +193,44 @@ def test_cross_entropy_errors():
 
 def test_linear_forward_equals_matmul_plus_bias():
     rng = np.random.default_rng(22)
-    x, w, b = (Tensor(rng.normal(size=shape)) for shape in ((2, 3, 4), (4, 5), (5,)))
-    assert np.array_equal(linear(x, w, b).data, (x @ w + b).data)
+    x, w, b = (rng.normal(size=shape) for shape in ((2, 3, 4), (4, 5), (5,)))
+    assert np.array_equal(linear(Tensor(x), Tensor(w), Tensor(b)).data, x @ w + b)
+
+
+def split_heads(t, heads):
+    batch, seq, d = t.shape
+    return np.transpose(t.reshape(batch, seq, heads, d // heads), (0, 2, 1, 3))
+
+
+def test_attention_forward_equals_composition():
+    # The step-by-step numpy composition: affine maps, head split by
+    # reshape and permute, batched products, the scale, and the merge.
+    rng = np.random.default_rng(26)
+    heads, head_dim = 3, 2
+    x = rng.normal(size=(2, 5, heads * head_dim))
+    wq, wk = (rng.normal(size=(6, 6)) for _ in range(2))
+    bq, bk = (rng.normal(size=6) for _ in range(2))
+    q, k = split_heads(x @ wq + bq, heads), split_heads(x @ wk + bk, heads)
+    composed = (q @ np.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(head_dim))
+    scores = attention_scores(*(Tensor(a) for a in (x, wq, bq, wk, bk)), heads)
+    assert np.array_equal(scores.data, composed)
+
+    probs = softmax_rows(scores)
+    v = rng.normal(size=(2, 5, 6))
+    merged = np.transpose(probs.data @ split_heads(v, heads), (0, 2, 1, 3)).reshape(2, 5, 6)
+    assert np.array_equal(attention_context(probs, Tensor(v), heads).data, merged)
+
+
+def test_feed_forward_forward_equals_composition():
+    rng = np.random.default_rng(27)
+    x = rng.normal(size=(2, 3, 4)) * 3.0
+    w_in, b_in = rng.normal(size=(4, 7)), rng.normal(size=7)
+    w_out, b_out = rng.normal(size=(7, 4)), rng.normal(size=4)
+    pre = x @ w_in + b_in
+    composed = (pre * (0.5 * (1.0 + erf(pre / np.sqrt(2.0))))) @ w_out + b_out
+    for grad in (False, True):
+        args = [Tensor(a, requires_grad=grad) for a in (x, w_in, b_in, w_out, b_out)]
+        assert np.array_equal(feed_forward(*args).data, composed)
 
 
 def test_layer_norm_forward_equals_composition():
@@ -218,6 +256,29 @@ def test_linear_and_layer_norm_shape_errors():
         layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), 1e-12)
     with pytest.raises(ShapeMismatchError):
         layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(1)), 1e-12)
+
+
+def test_fused_encoder_op_shape_errors():
+    x = Tensor(np.zeros((2, 3, 4)))
+    sq, vec = Tensor(np.zeros((4, 4))), Tensor(np.zeros(4))
+    with pytest.raises(ShapeMismatchError):
+        attention_scores(x, sq, vec, sq, vec, heads=3)
+    with pytest.raises(ShapeMismatchError):
+        attention_scores(x, sq, vec, Tensor(np.zeros((4, 2))), vec, heads=2)
+    with pytest.raises(ShapeMismatchError):
+        attention_scores(Tensor(np.zeros((3, 4))), sq, vec, sq, vec, heads=2)
+    probs = Tensor(np.zeros((2, 2, 3, 3)))
+    with pytest.raises(ShapeMismatchError):
+        attention_context(probs, x, heads=4)
+    with pytest.raises(ShapeMismatchError):
+        attention_context(probs, Tensor(np.zeros((2, 4, 4))), heads=2)
+    w_in, b_in, w_out = Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)), Tensor(np.zeros((5, 4)))
+    with pytest.raises(ShapeMismatchError):
+        feed_forward(x, w_in, b_in, Tensor(np.zeros((4, 5))), vec)
+    with pytest.raises(ShapeMismatchError):
+        feed_forward(x, w_in, Tensor(np.zeros(4)), w_out, vec)
+    with pytest.raises(ShapeMismatchError):
+        feed_forward(x, w_in, b_in, w_out, Tensor(np.zeros(5)))
 
 
 def test_gather_rows_forward():
@@ -304,6 +365,68 @@ def test_no_grad_blocks_taping():
     assert np.allclose(x.grad, [2.0])
 
 
+def test_no_grad_in_one_thread_leaves_another_recording():
+    entered, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def hold_no_grad():
+        with no_grad():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=30)
+            seen["inner exit"] = is_grad_enabled()
+        seen["outer exit"] = is_grad_enabled()
+
+    holder = threading.Thread(target=hold_no_grad)
+    holder.start()
+    try:
+        assert entered.wait(timeout=30)
+        x = Tensor([1.0], requires_grad=True)
+        y = x * 2.0
+        assert is_grad_enabled() and y._ctx is not None
+        with no_grad():
+            assert (x * 2.0)._ctx is None
+        assert is_grad_enabled()
+    finally:
+        release.set()
+        holder.join(timeout=30)
+    assert not holder.is_alive()
+    assert seen == {"inner exit": False, "outer exit": True}
+    backward(y.sum())
+    assert np.array_equal(x.grad, [2.0])
+
+
+def test_distillation_targets_are_freed_while_the_loss_is_alive(monkeypatch):
+    targets = []
+
+    def recording_mse(x, y, include=None):
+        targets.append(weakref.ref(y))
+        return mse(x, y, include=include)
+
+    monkeypatch.setattr(distill, "mse", recording_mse)
+    rng = np.random.default_rng(28)
+    mask = np.array([[True, True, False]])
+    teacher = distill.ForwardTrace([Tensor(rng.normal(size=(1, 3, 2))) for _ in range(3)],
+                                   [Tensor(rng.normal(size=(1, 2, 3, 3))) for _ in range(2)],
+                                   mask)
+    student = distill.ForwardTrace(
+        [Tensor(rng.normal(size=(1, 3, 2)), requires_grad=True) for _ in range(2)],
+        [Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)], mask)
+    loss = distill.total_distill_loss(teacher, student)
+    assert len(targets) == 3
+    assert all(ref() is None for ref in targets)
+    backward(loss)
+    assert all(t.grad is not None for t in student.hidden + student.attentions)
+
+
+def test_product_with_a_constant_gives_the_constant_times_upstream():
+    rng = np.random.default_rng(29)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    c, g = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    backward(((x * Tensor(c)) * Tensor(g)).sum())
+    assert np.array_equal(x.grad, g * c)
+
+
 def test_detach_cuts_graph():
     x = Tensor([3.0], requires_grad=True)
     y = (x * 2.0).detach() * x
@@ -335,18 +458,6 @@ def test_arithmetic_grads():
         check_grads(build, [a, b])
 
 
-def test_matmul_broadcast_grads():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-
-        def build():
-            return ((x @ w) ** 2).sum()
-
-        check_grads(build, [x, w])
-
-
 def test_linear_grads():
     rng = np.random.default_rng(24)
     for x_shape in ((5, 4), (2, 3, 4)):
@@ -376,10 +487,10 @@ def test_layer_norm_grads():
 def test_nonlinearity_grads():
     rng = np.random.default_rng(4)
     for _ in range(5):
-        x = Tensor(rng.normal(size=(6,)), requires_grad=True)
+        x = Tensor(rng.normal(size=(6, 1)), requires_grad=True)
 
         def build():
-            return (gelu(x) + x.tanh() * 0.5).sum()
+            return (identity_feed_forward(x) + x.tanh() * 0.5).sum()
 
         check_grads(build, [x])
 
@@ -447,8 +558,7 @@ def test_shape_op_grads():
         x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
 
         def build():
-            y = x.permute(1, 0, 2).reshape(3, 8)
-            return (y[:, :4] * y[:, 4:]).sum() + y.mean()
+            return (x[:, :2] * x[:, 1:]).sum() + x[1].mean()
 
         check_grads(build, [x])
 
@@ -456,18 +566,24 @@ def test_shape_op_grads():
 def test_composite_graph_grads():
     # one graph exercising every op the encoder uses
     rng = np.random.default_rng(9)
-    ids = np.array([[0, 2], [1, 1]])
-    mask = np.array([[True, True], [True, False]])
+    ids = np.array([[0, 2, 1], [1, 1, 2]])
+    mask = np.array([[True, True, True], [True, False, False]])
+    keep = (rng.random((2, 3, 4)) >= 0.2) / 0.8
     for _ in range(3):
         table = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        target = rng.normal(size=(2, 2, 4))
+        params = [Tensor(rng.normal(size=shape), requires_grad=True)
+                  for shape in ((4, 4), (4,), (4, 4), (4,), (4, 4), (4,),
+                                (4, 6), (6,), (6, 4), (4,), (4,), (4,))]
+        wq, bq, wk, bk, wv, bv, w_in, b_in, w_out, b_out, gain, bias = params
+        target = rng.normal(size=(2, 3, 4))
 
         def build():
-            h = gather_rows(table, ids) @ w
-            scores = h @ h.permute(0, 2, 1) * (1.0 / 2.0)
-            probs = softmax_rows(scores, mask=mask[:, None, :])
-            ctx = probs @ h
-            return mse(gelu(ctx), Tensor(target))
+            x = gather_rows(table, ids)
+            scores = attention_scores(x, wq, bq, wk, bk, heads=2)
+            probs = softmax_rows(scores, mask=mask[:, None, None, :])
+            context = attention_context(probs, linear(x, wv, bv), heads=2)
+            h = layer_norm(x + context * Tensor(keep), gain, bias, 1e-12)
+            out = feed_forward(h, w_in, b_in, w_out, b_out)
+            return mse(out, Tensor(target), include=mask[:, :, None])
 
-        check_grads(build, [table, w])
+        check_grads(build, [table] + params)
