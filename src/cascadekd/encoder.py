@@ -14,6 +14,13 @@ Each sublayer is one fused tape node with a hand-written backward pass:
 V, the output projection, the pooler and the classifier output. The
 softmax between scores and context is its own node, since the attention
 record may be captured on either side of it.
+
+A `classify` pass reads only the first-token ([CLS]) position of the top
+hidden output, so it computes the top layer's attention output and
+everything after it at [CLS] only. The Q/K/V maps and the scores still
+cover every position; from the softmax onward the layer runs for query
+row 0 alone. `forward`, and with it distillation, computes every
+position of every layer.
 """
 
 from __future__ import annotations
@@ -46,6 +53,11 @@ LAYER_NORM_EPS = 1e-12
 PRE_SOFTMAX_SCALED = "pre_softmax_scaled"
 POST_SOFTMAX = "post_softmax"
 CAPTURE_MODES = (PRE_SOFTMAX_SCALED, POST_SOFTMAX)
+
+# Query positions a layer computes from its softmax on: every one, or only
+# the first-token ([CLS]) position that `classify` reads from the top layer.
+_ALL_ROWS = slice(None)
+_CLS_ROW = slice(0, 1)
 
 
 @dataclass(frozen=True)
@@ -205,6 +217,20 @@ class EncoderModel:
         reproducibly for a given `dropout_seed`; otherwise the pass is
         deterministic.
         """
+        x, mask, rng, dropping = self._embed(token_ids, attention_mask,
+                                             training_mode, dropout_seed)
+        hidden = [x]
+        attentions = []
+        for layer in self.layers:
+            x, attn = self._layer_forward(layer, x, mask, rng, dropping)
+            hidden.append(x)
+            attentions.append(attn)
+        return ForwardTrace(hidden=hidden, attentions=attentions,
+                            attention_mask=mask, capture_mode=self.config.attention_capture)
+
+    def _embed(self, token_ids, attention_mask, training_mode: bool, dropout_seed: int):
+        """Check the inputs and compute the embedding output; returns it with
+        the boolean mask, the dropout generator and whether dropout is on."""
         token_ids = np.asarray(token_ids, dtype=np.int64)
         mask = np.asarray(attention_mask, dtype=bool)
         if token_ids.ndim != 2:
@@ -225,40 +251,44 @@ class EncoderModel:
         x = gather_rows(self.token_embeddings, token_ids) \
             + self.position_embeddings[:seq_len]
         x = layer_norm(x, self.emb_ln_gain, self.emb_ln_bias, LAYER_NORM_EPS)
-        x = _dropout(x, self.config.dropout_rate, rng, dropping)
-
-        hidden = [x]
-        attentions = []
-        for layer in self.layers:
-            x, attn = self._layer_forward(layer, x, mask, rng, dropping)
-            hidden.append(x)
-            attentions.append(attn)
-        return ForwardTrace(hidden=hidden, attentions=attentions,
-                            attention_mask=mask, capture_mode=self.config.attention_capture)
+        return _dropout(x, self.config.dropout_rate, rng, dropping), mask, rng, dropping
 
     def _layer_forward(self, layer: EncoderLayer, x: Tensor, mask: np.ndarray,
-                       rng, dropping: bool) -> tuple[Tensor, Tensor]:
+                       rng, dropping: bool, rows: slice = _ALL_ROWS) -> tuple[Tensor, Tensor]:
+        """One layer on a (B, T, d) input. From the softmax on, only the
+        query positions `rows` are computed, so the output is (B, len(rows),
+        d); queries, keys and values still come from every position, and
+        dropout draws its masks at full size and keeps those rows."""
         cfg = self.config
+        full_shape = x.shape
         scores = attention_scores(x, layer.wq, layer.bq, layer.wk, layer.bk, cfg.num_heads)
+        x_all = x
+        if rows != _ALL_ROWS:
+            scores, x = scores[:, :, rows], x[:, rows]
         probs = softmax_rows(scores, mask=mask[:, None, None, :])
         captured = scores if cfg.attention_capture == PRE_SOFTMAX_SCALED else probs
 
-        context = attention_context(probs, linear(x, layer.wv, layer.bv), cfg.num_heads)
+        context = attention_context(probs, linear(x_all, layer.wv, layer.bv), cfg.num_heads)
         attn_out = linear(context, layer.wo, layer.bo)
-        attn_out = _dropout(attn_out, cfg.dropout_rate, rng, dropping)
+        attn_out = _dropout(attn_out, cfg.dropout_rate, rng, dropping, full_shape, rows)
         x = layer_norm(x + attn_out, layer.ln_attn_gain, layer.ln_attn_bias, LAYER_NORM_EPS)
 
         ffn = feed_forward(x, layer.w_ffn_in, layer.b_ffn_in, layer.w_ffn_out, layer.b_ffn_out)
-        ffn = _dropout(ffn, cfg.dropout_rate, rng, dropping)
+        ffn = _dropout(ffn, cfg.dropout_rate, rng, dropping, full_shape, rows)
         x = layer_norm(x + ffn, layer.ln_ffn_gain, layer.ln_ffn_bias, LAYER_NORM_EPS)
         return x, captured
 
 
-def _dropout(x: Tensor, rate: float, rng, dropping: bool) -> Tensor:
+def _dropout(x: Tensor, rate: float, rng, dropping: bool,
+             full_shape: Optional[tuple] = None, rows: slice = _ALL_ROWS) -> Tensor:
+    """Inverted dropout. The mask is drawn at `full_shape` (default: x's)
+    and its positions `rows` kept, so a pass restricted to some rows uses
+    the mask values, and leaves `rng` in the state, of the full pass."""
     if not dropping:
         return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(keep)
+    keep = (rng.random(full_shape or x.shape) >= rate) / (1.0 - rate)
+    # A copy of the kept rows only, so the graph does not hold the full mask.
+    return x * Tensor(np.ascontiguousarray(keep[:, rows]))
 
 
 def init_random(config: ModelConfig, seed: int, embeddings_frozen: bool = True) -> EncoderModel:
@@ -301,12 +331,21 @@ class ClassifierHead:
 
 def classify(model: EncoderModel, head: ClassifierHead, token_ids, attention_mask,
              training_mode: bool = False, dropout_seed: int = 0) -> Tensor:
-    """Logits (batch, num_classes) from first-token pooling of the top hidden output."""
+    """Logits (batch, num_classes) from first-token pooling of the top hidden output.
+
+    Only position 0 of the top hidden output is read, so the top layer
+    computes its attention output and everything after it at that position
+    only. The logits equal those pooled from `model.forward(...)` with the
+    same arguments up to rounding, since the products run over fewer rows;
+    dropout draws the same masks.
+    """
     if head.hidden_dim != model.config.hidden_dim:
         raise DimensionMismatchError(
             f"head dim {head.hidden_dim} != model hidden dim {model.config.hidden_dim}")
-    trace = model.forward(token_ids, attention_mask,
-                          training_mode=training_mode, dropout_seed=dropout_seed)
-    cls = trace.hidden[-1][:, 0, :]
-    pooled = linear(cls, head.pooler_w, head.pooler_b).tanh()
+    x, mask, rng, dropping = model._embed(token_ids, attention_mask,
+                                          training_mode, dropout_seed)
+    for i, layer in enumerate(model.layers):
+        rows = _CLS_ROW if i == model.num_layers - 1 else _ALL_ROWS
+        x, _ = model._layer_forward(layer, x, mask, rng, dropping, rows)
+    pooled = linear(x[:, 0, :], head.pooler_w, head.pooler_b).tanh()
     return linear(pooled, head.out_w, head.out_b)

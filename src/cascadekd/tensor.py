@@ -488,8 +488,8 @@ class AttentionScores(Function):
 
 
 class AttentionContext(Function):
-    """Per-head context `probs @ v`, with the (B, T, d) values split into
-    H heads, merged back to (B, T, d).
+    """Per-head context `probs @ v` for (B, H, Tq, T) weights, with the
+    (B, T, d) values split into H heads, merged back to (B, Tq, d).
 
     Its values are bit-equal to the step-by-step numpy composition: the
     head split, the batched product, and the merge by transpose and
@@ -605,10 +605,11 @@ def attention_scores(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
 
 
 def attention_context(probs: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Per-head `probs @ v` for (B, H, T, T) weights and (B, T, d) values,
-    merged back to (B, T, d)."""
-    if v.ndim != 3 or heads < 1 or v.shape[-1] % heads or \
-            probs.shape != (v.shape[0], heads, v.shape[1], v.shape[1]):
+    """Per-head `probs @ v` for (B, H, Tq, T) weights over Tq <= T query
+    rows and (B, T, d) values, merged back to (B, Tq, d)."""
+    if v.ndim != 3 or heads < 1 or v.shape[-1] % heads or probs.ndim != 4 or \
+            probs.shape[:2] != (v.shape[0], heads) or probs.shape[3] != v.shape[1] or \
+            probs.shape[2] > v.shape[1]:
         raise ShapeMismatchError(
             f"attention_context shapes do not fit: probs {probs.shape}, v {v.shape}, "
             f"{heads} heads")

@@ -19,7 +19,7 @@ from cascadekd.errors import (
     SequenceTooLongError,
     TokenOutOfRangeError,
 )
-from cascadekd.tensor import Tensor, backward, mse, no_grad
+from cascadekd.tensor import Tensor, backward, cross_entropy, mse, no_grad
 
 from oracles import fd_denominator_floor, finite_difference_grad, max_relative_error
 
@@ -209,6 +209,35 @@ def test_layer_gradients_match_finite_differences():
                ("layers.0.w_ffn_in", model.layers[0].w_ffn_in),
                ("layers.1.ln_ffn_gain", model.layers[1].ln_ffn_gain),
                ("layers.1.bv", model.layers[1].bv)]
+    for name, param in checked:
+        def f():
+            with no_grad():
+                return loss_value().item()
+
+        fd = finite_difference_grad(f, param.data)
+        assert max_relative_error(param.grad, fd, floor) < 1e-6, name
+
+
+def test_classify_gradients_match_finite_differences():
+    # Through the top layer that `classify` computes at the first position only.
+    rng = np.random.default_rng(9)
+    model = init_random(toy_config(), seed=5)
+    head = ClassifierHead(8, num_classes=3, seed=2)
+    for _, t in model.parameters() + head.parameters():
+        t.data = t.data + rng.normal(0.0, 0.3, size=t.shape)
+    ids, mask = toy_batch(rng, batch=3)
+    labels = np.array([0, 2, 1])
+
+    def loss_value():
+        return cross_entropy(classify(model, head, ids, mask), labels)
+
+    loss = loss_value()
+    backward(loss)
+    floor = fd_denominator_floor(loss.item())
+    top = model.layers[-1]
+    checked = [("layers.1.wq", top.wq), ("layers.1.wv", top.wv),
+               ("layers.1.w_ffn_in", top.w_ffn_in), ("layers.1.ln_ffn_gain", top.ln_ffn_gain),
+               *((f"head.{name}", t) for name, t in head.parameters())]
     for name, param in checked:
         def f():
             with no_grad():

@@ -14,7 +14,9 @@ from cascadekd.encoder import (
     PRE_SOFTMAX_SCALED,
     ClassifierHead,
     ForwardTrace,
+    ModelConfig,
     classify,
+    init_random,
 )
 from cascadekd.errors import DigestMismatchError
 from cascadekd.tensor import (
@@ -22,13 +24,14 @@ from cascadekd.tensor import (
     attention_context,
     attention_scores,
     backward,
+    cross_entropy,
     feed_forward,
     layer_norm,
     linear,
     no_grad,
     softmax_rows,
 )
-from cascadekd.training import predict
+from cascadekd.training import PREDICT_SLICE, predict
 
 from test_persistence import tiny_model
 from test_tensor import check_grads
@@ -151,13 +154,16 @@ def test_attention_scores_match_finite_differences(case, capture, constant_x, se
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(case=attention_case(), constant_probs=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_attention_context_matches_finite_differences(case, constant_probs, seed):
+@given(case=attention_case(), constant_probs=st.booleans(), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_attention_context_matches_finite_differences(case, constant_probs, data, seed):
     batch, seq, heads, d, key_mask = case
+    query_rows = data.draw(st.integers(1, seq), label="query_rows")
     rng = np.random.default_rng(seed)
-    logits = Tensor(rng.normal(size=(batch, heads, seq, seq)), requires_grad=not constant_probs)
+    logits = Tensor(rng.normal(size=(batch, heads, query_rows, seq)),
+                    requires_grad=not constant_probs)
     v = Tensor(rng.normal(size=(batch, seq, d)), requires_grad=True)
-    weights = Tensor(rng.normal(size=(batch, seq, d)))
+    weights = Tensor(rng.normal(size=(batch, query_rows, d)))
 
     def build():
         probs = softmax_rows(logits, mask=key_mask)
@@ -184,6 +190,65 @@ def test_feed_forward_matches_finite_differences(lead, d, f, constant_x, scale, 
     assert (x.grad is None) == constant_x
 
 
+@st.composite
+def classify_case(draw):
+    """A random encoder with large weights, a head, and a padded batch."""
+    heads = draw(st.integers(1, 2))
+    config = ModelConfig(vocab_size=9, hidden_dim=heads * draw(st.integers(1, 3)),
+                         num_layers=draw(st.integers(0, 3)), num_heads=heads,
+                         ffn_dim=draw(st.integers(1, 6)), max_seq_len=6,
+                         dropout_rate=0.3,
+                         attention_capture=draw(st.sampled_from(CAPTURE_MODES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = init_random(config, seed=int(rng.integers(2**31)),
+                        embeddings_frozen=draw(st.booleans()))
+    head = ClassifierHead(config.hidden_dim, num_classes=3, seed=int(rng.integers(2**31)))
+    # Weights of order one, so attention is far from uniform.
+    for _, t in model.parameters() + head.parameters():
+        t.data = rng.normal(0.0, 0.7, size=t.shape)
+    batch, seq = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.integers(1, seq), min_size=batch, max_size=batch))
+    ids = rng.integers(0, config.vocab_size, size=(batch, seq))
+    mask = np.arange(seq)[None, :] < np.array(lengths)[:, None]
+    return model, head, ids, mask, rng.integers(0, 3, size=batch)
+
+
+def reference_logits(model, head, ids, mask, training_mode, dropout_seed):
+    """Classifier logits pooled from the full forward pass."""
+    trace = model.forward(ids, mask, training_mode=training_mode, dropout_seed=dropout_seed)
+    pooled = linear(trace.hidden[-1][:, 0], head.pooler_w, head.pooler_b).tanh()
+    return linear(pooled, head.out_w, head.out_b)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=classify_case(), training_mode=st.booleans(), grad=st.booleans(),
+       dropout_seed=st.integers(0, 2**32 - 1))
+def test_classify_equals_the_full_forward_pass(case, training_mode, grad, dropout_seed):
+    model, head, ids, mask, labels = case
+    params = [t for _, t in model.parameters() + head.parameters()]
+    results = []
+    for score in (reference_logits, classify):
+        for t in params:
+            t.grad = None
+        if grad:
+            logits = score(model, head, ids, mask, training_mode, dropout_seed)
+            backward(cross_entropy(logits, labels))
+        else:
+            with no_grad():
+                logits = score(model, head, ids, mask, training_mode, dropout_seed)
+            assert logits._ctx is None
+        results.append((logits.data, [t.grad for t in params]))
+    (ref, ref_grads), (got, got_grads) = results
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    for ref_g, got_g in zip(ref_grads, got_grads):
+        assert (ref_g is None) == (got_g is None)
+    if grad:
+        scale = max(np.abs(g).max() for g in ref_grads if g is not None)
+        for ref_g, got_g in zip(ref_grads, got_grads):
+            if ref_g is not None:
+                assert np.abs(got_g - ref_g).max() <= 1e-12 * scale
+
+
 @pytest.fixture(scope="module")
 def scorer():
     model = small_model(seed=12)
@@ -192,10 +257,10 @@ def scorer():
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(size=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
-@example(size=256, seed=0)  # on and just past the slice boundaries
-@example(size=257, seed=1)
-@example(size=512, seed=2)
-@example(size=513, seed=3)
+@example(size=PREDICT_SLICE, seed=0)  # on and just past the slice boundaries
+@example(size=PREDICT_SLICE + 1, seed=1)
+@example(size=2 * PREDICT_SLICE, seed=2)
+@example(size=2 * PREDICT_SLICE + 1, seed=3)
 def test_predict_in_slices_equals_one_pass_argmax(scorer, size, seed):
     model, head = scorer
     rng = np.random.default_rng(seed)

@@ -272,6 +272,12 @@ def test_fused_encoder_op_shape_errors():
         attention_context(probs, x, heads=4)
     with pytest.raises(ShapeMismatchError):
         attention_context(probs, Tensor(np.zeros((2, 4, 4))), heads=2)
+    # Fewer query rows than keys are fine; more, or a key extent that is
+    # not T, are not.
+    assert attention_context(Tensor(np.zeros((2, 2, 1, 3))), x, heads=2).shape == (2, 1, 4)
+    for shape in ((2, 2, 4, 3), (2, 2, 1, 2), (2, 2, 3)):
+        with pytest.raises(ShapeMismatchError):
+            attention_context(Tensor(np.zeros(shape)), x, heads=2)
     w_in, b_in, w_out = Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)), Tensor(np.zeros((5, 4)))
     with pytest.raises(ShapeMismatchError):
         feed_forward(x, w_in, b_in, Tensor(np.zeros((4, 5))), vec)

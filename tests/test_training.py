@@ -1,6 +1,7 @@
 """Optimization: schedule values, Adam against a functional replay,
 accumulation invariance, fine-tuning, and evaluation."""
 
+import threading
 import tracemalloc
 import weakref
 
@@ -17,8 +18,10 @@ from cascadekd.errors import (
     ShapeMismatchError,
     StepOutOfRangeError,
 )
-from cascadekd.tensor import Tensor, gather_rows, mse
+from cascadekd import training
+from cascadekd.tensor import Tensor, gather_rows, is_grad_enabled, mse
 from cascadekd.training import (
+    PREDICT_SLICE,
     Adam,
     AdamState,
     FineTuneConfig,
@@ -367,6 +370,32 @@ def test_predict_checks_head_width_for_every_batch():
         batch = Batch(np.ones((size, 6), dtype=np.int64), np.ones((size, 6), dtype=bool))
         with pytest.raises(DimensionMismatchError):
             predict(model, wrong, batch)
+
+
+def test_predict_records_no_graph_on_any_thread(monkeypatch):
+    model = small_model(seed=17)
+    head = ClassifierHead(8, num_classes=3, seed=18)
+    assert all(t.requires_grad for _, t in model.trainable_parameters())
+    calls = []
+    lock = threading.Lock()
+
+    def recording_classify(*args, **kwargs):
+        logits = original(*args, **kwargs)
+        with lock:
+            calls.append((threading.get_ident(), is_grad_enabled(), logits._ctx is None))
+        return logits
+
+    original = training.classify
+    monkeypatch.setattr(training, "classify", recording_classify)
+    rng = np.random.default_rng(19)
+    size = 5 * PREDICT_SLICE + 3
+    batch = Batch(rng.integers(0, 16, size=(size, 6)), np.ones((size, 6), dtype=bool))
+    predict(model, head, batch)
+    assert len(calls) == 6
+    assert [grad for _, grad, _ in calls] == [False] * 6
+    assert all(constant for _, _, constant in calls)
+    assert threading.get_ident() not in {thread for thread, _, _ in calls}
+    assert is_grad_enabled()
 
 
 def test_predict_memory_does_not_grow_with_batch_size():
