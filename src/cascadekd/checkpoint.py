@@ -131,6 +131,10 @@ def load_checkpoint(path) -> CheckpointBundle:
         if shape != tensor.shape:
             raise ShapeMismatchError(
                 f"tensor {name!r} has shape {shape}, expected {tensor.shape}")
+        if nbytes != 8 * tensor.data.size:
+            raise InvalidConfigError(
+                f"tensor {name!r} of shape {shape} is listed with {nbytes} bytes, "
+                f"not {8 * tensor.data.size}")
         tensor.data = np.frombuffer(blob, dtype="<f8").reshape(shape).astype(
             np.float64, copy=True)
         seen.add(name)

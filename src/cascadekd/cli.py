@@ -78,10 +78,15 @@ def _recycling_batches(texts, vocab: TokenizerVocab, max_len: int,
 
 
 def _labeled_batch(path, vocab: TokenizerVocab, max_len: int) -> tuple[str, Batch]:
+    """The file's one language and its examples as one batch."""
     rows = read_labeled(path)
     if not rows:
         raise InvalidConfigError(f"no labeled examples in {path}")
-    language = rows[0][0]
+    languages = sorted({lang for lang, _, _ in rows})
+    if len(languages) > 1:
+        raise InvalidConfigError(
+            f"{path}: mixes languages {', '.join(languages)}; give one file per language")
+    language = languages[0]
     texts = [text for _, _, text in rows]
     labels = [label for _, label, _ in rows]
     return language, encode_batch(texts, vocab, max_len, labels=labels)
@@ -234,6 +239,8 @@ def cmd_eval(args) -> int:
     eval_sets = {}
     for path in args.eval_files:
         language, batch = _labeled_batch(path, vocab, bundle.model.config.max_seq_len)
+        if language in eval_sets:
+            raise InvalidConfigError(f"{path}: a second eval set for language {language!r}")
         eval_sets[language] = batch
     result = zero_shot_eval(bundle.model, bundle.head, eval_sets)
     label = args.label or f"{bundle.model.num_layers}-layer"

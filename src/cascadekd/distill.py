@@ -33,7 +33,6 @@ from .errors import (
     DimensionMismatchError,
     HeadCountMismatchError,
     InvalidConfigError,
-    LayerIndexOutOfRangeError,
     NonFiniteLossError,
     TeacherTooShallowError,
 )
@@ -124,33 +123,27 @@ def _term(student_t: Tensor, teacher_t: Tensor, teacher_next: Tensor,
     return mse(student_t, (teacher_t.data + teacher_next.data) * 0.5, include=include)
 
 
-def attention_layer_loss(teacher: ForwardTrace, student: ForwardTrace, j: int) -> Tensor:
-    """Head-averaged MSE between student attention at layer j (1-based) and
-    the average of teacher attentions at layers j and j+1."""
-    include, _ = _check_pair(teacher, student)
-    if not 1 <= j <= student.depth:
-        raise LayerIndexOutOfRangeError(f"attention layer {j} outside 1..{student.depth}")
-    return _term(student.attentions[j - 1], teacher.attentions[j - 1],
-                 teacher.attentions[j], include)
+def distill_terms(teacher: ForwardTrace, student: ForwardTrace) -> list[Tensor]:
+    """The objective's 2n+1 terms, `[attn_1..attn_n, hidden_1..hidden_{n+1}]`.
 
-
-def hidden_layer_loss(teacher: ForwardTrace, student: ForwardTrace, k: int) -> Tensor:
-    """MSE between student hidden output k (1-based, 1 = embedding output)
-    and the average of teacher hidden outputs k and k+1."""
-    _, include = _check_pair(teacher, student)
-    if not 1 <= k <= student.depth + 1:
-        raise LayerIndexOutOfRangeError(f"hidden output {k} outside 1..{student.depth + 1}")
-    return _term(student.hidden[k - 1], teacher.hidden[k - 1], teacher.hidden[k], include)
-
-
-def total_distill_loss(teacher: ForwardTrace, student: ForwardTrace) -> Tensor:
-    """Per-batch distillation objective over all mapped layers."""
+    `attn_j` is the head-averaged MSE between student attention j and the
+    average of teacher attentions j and j+1; `hidden_k` is the MSE between
+    student hidden output k (1 = embedding output) and the average of
+    teacher hidden outputs k and k+1.
+    """
     attn_include, hidden_include = _check_pair(teacher, student)
     t_attn, t_hidden = teacher.attentions, teacher.hidden
     terms = [_term(s, t, t_next, attn_include)
              for s, t, t_next in zip(student.attentions, t_attn, t_attn[1:])]
     terms += [_term(s, t, t_next, hidden_include)
               for s, t, t_next in zip(student.hidden, t_hidden, t_hidden[1:])]
+    return terms
+
+
+def total_distill_loss(teacher: ForwardTrace, student: ForwardTrace) -> Tensor:
+    """Per-batch distillation objective: the mean over the n student layers
+    of the summed `distill_terms`."""
+    terms = distill_terms(teacher, student)
     return sum(terms[1:], terms[0]) * (1.0 / student.depth)
 
 

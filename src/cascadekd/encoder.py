@@ -16,10 +16,10 @@ softmax between scores and context is its own node, since the attention
 record may be captured on either side of it.
 
 A `classify` pass reads only the first-token ([CLS]) position of the top
-hidden output, so it computes the top layer's attention output and
-everything after it at [CLS] only. The Q/K/V maps and the scores still
-cover every position; from the softmax onward the layer runs for query
-row 0 alone. `forward`, and with it distillation, computes every
+hidden output, so the top layer runs for query row 0 alone: its query
+map, scores, softmax, attention output and everything after it are
+computed at [CLS] only, while the K and V maps still cover every
+position. `forward`, and with it distillation, computes every
 position of every layer.
 """
 
@@ -54,8 +54,8 @@ PRE_SOFTMAX_SCALED = "pre_softmax_scaled"
 POST_SOFTMAX = "post_softmax"
 CAPTURE_MODES = (PRE_SOFTMAX_SCALED, POST_SOFTMAX)
 
-# Query positions a layer computes from its softmax on: every one, or only
-# the first-token ([CLS]) position that `classify` reads from the top layer.
+# Query positions a layer computes: every one, or only the first-token
+# ([CLS]) position that `classify` reads from the top layer.
 _ALL_ROWS = slice(None)
 _CLS_ROW = slice(0, 1)
 
@@ -255,20 +255,20 @@ class EncoderModel:
 
     def _layer_forward(self, layer: EncoderLayer, x: Tensor, mask: np.ndarray,
                        rng, dropping: bool, rows: slice = _ALL_ROWS) -> tuple[Tensor, Tensor]:
-        """One layer on a (B, T, d) input. From the softmax on, only the
-        query positions `rows` are computed, so the output is (B, len(rows),
-        d); queries, keys and values still come from every position, and
-        dropout draws its masks at full size and keeps those rows."""
+        """One layer on a (B, T, d) input, computed at the query positions
+        `rows` only, so the output is (B, len(rows), d); keys and values
+        still come from every position, and dropout draws its masks at full
+        size and keeps those rows."""
         cfg = self.config
         full_shape = x.shape
-        scores = attention_scores(x, layer.wq, layer.bq, layer.wk, layer.bk, cfg.num_heads)
-        x_all = x
-        if rows != _ALL_ROWS:
-            scores, x = scores[:, :, rows], x[:, rows]
+        scores = attention_scores(x, layer.wq, layer.bq, layer.wk, layer.bk, cfg.num_heads,
+                                  rows=rows)
         probs = softmax_rows(scores, mask=mask[:, None, None, :])
         captured = scores if cfg.attention_capture == PRE_SOFTMAX_SCALED else probs
 
-        context = attention_context(probs, linear(x_all, layer.wv, layer.bv), cfg.num_heads)
+        context = attention_context(probs, linear(x, layer.wv, layer.bv), cfg.num_heads)
+        if rows != _ALL_ROWS:
+            x = x[:, rows]  # the residual's rows
         attn_out = linear(context, layer.wo, layer.bo)
         attn_out = _dropout(attn_out, cfg.dropout_rate, rng, dropping, full_shape, rows)
         x = layer_norm(x + attn_out, layer.ln_attn_gain, layer.ln_attn_bias, LAYER_NORM_EPS)
@@ -334,10 +334,10 @@ def classify(model: EncoderModel, head: ClassifierHead, token_ids, attention_mas
     """Logits (batch, num_classes) from first-token pooling of the top hidden output.
 
     Only position 0 of the top hidden output is read, so the top layer
-    computes its attention output and everything after it at that position
-    only. The logits equal those pooled from `model.forward(...)` with the
-    same arguments up to rounding, since the products run over fewer rows;
-    dropout draws the same masks.
+    computes its queries, scores, attention output and everything after
+    them at that position only. The logits equal those pooled from
+    `model.forward(...)` with the same arguments up to rounding, since the
+    products run over fewer rows; dropout draws the same masks.
     """
     if head.hidden_dim != model.config.hidden_dim:
         raise DimensionMismatchError(

@@ -68,10 +68,6 @@ class TeacherTooShallowError(ValidationError):
     pass
 
 
-class LayerIndexOutOfRangeError(ValidationError):
-    pass
-
-
 class HeadCountMismatchError(ValidationError):
     pass
 

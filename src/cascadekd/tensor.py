@@ -36,7 +36,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import threading
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 from scipy.special import erf
@@ -155,40 +155,16 @@ class Tensor:
     def __radd__(self, other):
         return Add.apply(_as_tensor(other), self)
 
-    def __sub__(self, other):
-        return Sub.apply(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return Sub.apply(_as_tensor(other), self)
-
     def __mul__(self, other):
         return Mul.apply(self, _as_tensor(other))
 
     def __rmul__(self, other):
         return Mul.apply(_as_tensor(other), self)
 
-    def __neg__(self):
-        return Neg.apply(self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return Mul.apply(self, _as_tensor(1.0 / float(other)))
-
-    def __pow__(self, exponent):
-        return Pow.apply(self, exponent=float(exponent))
-
     def __getitem__(self, key):
         return Slice.apply(self, key=key)
 
-    # -- reductions and pointwise ops --------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return Sum.apply(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        n = self.numel if axis is None else _axis_extent(self.shape, axis)
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    # -- pointwise ops -----------------------------------------------------
 
     def tanh(self) -> "Tensor":
         return Tanh.apply(self)
@@ -196,15 +172,6 @@ class Tensor:
 
 def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def _axis_extent(shape, axis) -> int:
-    if isinstance(axis, (tuple, list)):
-        n = 1
-        for a in axis:
-            n *= shape[a]
-        return n
-    return shape[axis]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -330,15 +297,6 @@ class Add(Function):
                      for shape, need in zip(self.shapes, self.needs))
 
 
-class Sub(Function):
-    def forward(self, a, b):
-        self.shapes = (a.shape, b.shape)
-        return a - b
-
-    def backward(self, g):
-        return _unbroadcast(g, self.shapes[0]), _unbroadcast(-g, self.shapes[1])
-
-
 class Mul(Function):
     def forward(self, a, b):
         # Each factor is kept only for the other one's gradient.
@@ -352,23 +310,6 @@ class Mul(Function):
         need_a, need_b = self.needs
         return (_unbroadcast(g * self.b, self.shapes[0]) if need_a else None,
                 _unbroadcast(g * self.a, self.shapes[1]) if need_b else None)
-
-
-class Neg(Function):
-    def forward(self, a):
-        return -a
-
-    def backward(self, g):
-        return (-g,)
-
-
-class Pow(Function):
-    def forward(self, a, exponent):
-        self.a, self.exponent = a, exponent
-        return a ** exponent
-
-    def backward(self, g):
-        return (g * self.exponent * self.a ** (self.exponent - 1.0),)
 
 
 class Tanh(Function):
@@ -412,10 +353,9 @@ class Linear(Function):
 class LayerNorm(Function):
     """`(x - mean) / sqrt(var + eps) * gain + bias` over the last axis.
 
-    The forward pass runs the same numpy operations, in the same order,
-    as the composition of `mean`, `-`, `*` and `** -0.5` on tensors, so
-    its values are bit-equal to it; backward keeps only the normalized
-    input, the reciprocal deviation and the gain.
+    Each mean is a sum times 1/d, and the reciprocal deviation is
+    `(var + eps) ** -0.5`; backward keeps only the normalized input, the
+    reciprocal deviation and the gain.
     """
 
     def forward(self, x, gain, bias, eps):
@@ -450,16 +390,18 @@ def _merge_heads(t):
 
 
 class AttentionScores(Function):
-    """Scaled per-head scores `q k^T / sqrt(d/H)` of (B, H, T, T), with
-    `q = x @ wq + bq` and `k = x @ wk + bk` split into H heads.
+    """Scaled per-head scores `q k^T / sqrt(d/H)` of (B, H, R, T) for the R
+    query positions `rows`, with `q = x[:, rows] @ wq + bq` and
+    `k = x @ wk + bk` split into H heads.
 
     Its values are bit-equal to the step-by-step numpy composition: both
     affine maps, the head split by reshape and transpose, the batched
-    product and the scale. Backward keeps the per-head q and k.
+    product and the scale. Backward keeps the per-head q and k, and adds
+    the query side's input gradient into rows `rows` of the key side's.
     """
 
-    def forward(self, x, wq, bq, wk, bk, heads):
-        q = _split_heads(_affine(x, wq, bq), heads)
+    def forward(self, x, wq, bq, wk, bk, heads, rows):
+        q = _split_heads(_affine(x[:, rows], wq, bq), heads)
         k = _split_heads(_affine(x, wk, bk), heads)
         self.scale = 1.0 / np.sqrt(q.shape[-1])
         scores = np.matmul(q, np.transpose(k, (0, 1, 3, 2)))
@@ -469,6 +411,7 @@ class AttentionScores(Function):
         self.k = k if any(needs[:3]) else None
         self.q = q if needs[0] or needs[3] or needs[4] else None
         self.x = x if needs[1] or needs[3] else None
+        self.rows = rows
         self.wq, self.wk = (wq, wk) if needs[0] else (None, None)
         return scores
 
@@ -476,14 +419,15 @@ class AttentionScores(Function):
         needs = self.needs
         g = g * self.scale
         gx = gwq = gbq = gwk = gbk = None
-        if self.k is not None:
-            gq = _merge_heads(np.matmul(g, self.k))
-            gx, gwq, gbq = _affine_grads(gq, self.x, self.wq, needs[:3])
         if self.q is not None:
             gk = _merge_heads(np.matmul(np.swapaxes(g, -1, -2), self.q))
-            gx_k, gwk, gbk = _affine_grads(gk, self.x, self.wk, (needs[0], needs[3], needs[4]))
+            gx, gwk, gbk = _affine_grads(gk, self.x, self.wk, (needs[0], needs[3], needs[4]))
+        if self.k is not None:
+            gq = _merge_heads(np.matmul(g, self.k))
+            x_rows = None if self.x is None else self.x[:, self.rows]
+            gx_q, gwq, gbq = _affine_grads(gq, x_rows, self.wq, needs[:3])
             if needs[0]:
-                gx += gx_k
+                gx[:, self.rows] += gx_q
         return gx, gwq, gbq, gwk, gbk
 
 
@@ -547,17 +491,6 @@ class FeedForward(Function):
         return (*_affine_grads(gpre, self.x, self.w_in, needs[:3]), gw_out, gb_out)
 
 
-class Sum(Function):
-    def forward(self, a, axis, keepdims):
-        self.shape, self.axis, self.keepdims = a.shape, axis, keepdims
-        return np.sum(a, axis=axis, keepdims=keepdims)
-
-    def backward(self, g):
-        if self.axis is not None and not self.keepdims:
-            g = np.expand_dims(g, self.axis)
-        return (np.broadcast_to(g, self.shape).copy(),)
-
-
 class Slice(Function):
     def forward(self, a, key):
         self.shape, self.key = a.shape, key
@@ -592,16 +525,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def attention_scores(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
-                     heads: int) -> Tensor:
-    """Scaled per-head scores (B, H, T, T) of a (B, T, d) input under
-    (d, d) query/key weights and (d,) biases."""
+                     heads: int, rows: slice = slice(None)) -> Tensor:
+    """Scaled per-head scores (B, H, R, T) of a (B, T, d) input under
+    (d, d) query/key weights and (d,) biases, for the R query positions
+    that the slice `rows` selects (default: all T) against every key."""
     d = x.shape[-1]
-    if x.ndim != 3 or heads < 1 or d % heads or \
+    if x.ndim != 3 or heads < 1 or d % heads or not isinstance(rows, slice) or \
             any(w.shape != (d, d) for w in (wq, wk)) or any(b.shape != (d,) for b in (bq, bk)):
         raise ShapeMismatchError(
-            f"attention_scores shapes do not fit: x {x.shape}, {heads} heads, "
+            f"attention_scores shapes do not fit: x {x.shape}, {heads} heads, rows {rows}, "
             f"wq {wq.shape}, bq {bq.shape}, wk {wk.shape}, bk {bk.shape}")
-    return AttentionScores.apply(x, wq, bq, wk, bk, heads=heads)
+    return AttentionScores.apply(x, wq, bq, wk, bk, heads=heads, rows=rows)
 
 
 def attention_context(probs: Tensor, v: Tensor, heads: int) -> Tensor:

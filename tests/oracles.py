@@ -2,10 +2,33 @@
 
 Everything here is written in the most literal style possible: explicit
 index loops, no shared code with the package, so agreement between the
-two is evidence rather than tautology.
+two is evidence rather than tautology. The one exception is `total`, the
+tests' scalar reducer: it must sit on the package's tape to reduce a
+tensor to a loss, so it is a `Function`, with a backward pass short
+enough to check by eye.
 """
 
 import numpy as np
+
+from cascadekd.tensor import Function
+
+
+class WeightedTotal(Function):
+    """`sum(x * weights)` for a constant weight array of x's shape."""
+
+    def forward(self, x, weights):
+        self.weights = weights
+        return np.asarray(np.sum(x * weights))
+
+    def backward(self, g):
+        return (g * self.weights,)
+
+
+def total(x, weights=1.0):
+    """The scalar `sum(x * weights)` on the tape; `weights` is a constant
+    that broadcasts to x's shape (default: a plain sum)."""
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), x.shape)
+    return WeightedTotal.apply(x, weights=weights)
 
 
 def reference_distill_loss(teacher_hidden, teacher_attn,

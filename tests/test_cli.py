@@ -256,6 +256,29 @@ def test_validation_errors_exit_one(pipeline, tmp_path, capsys):
     assert not list(out.glob("stage_*"))
 
 
+def eval_exit_and_error(pipeline, capsys, *eval_files):
+    code = main(["eval", "--corpus", str(pipeline["corpus"]),
+                 "--model", str(pipeline["run"] / "finetuned")]
+                + [str(path) for path in eval_files])
+    return code, capsys.readouterr().err
+
+
+def test_eval_rejects_a_file_of_mixed_languages(pipeline, tmp_path, capsys):
+    mixed = tmp_path / "mixed.tsv"
+    mixed.write_text((pipeline["task"] / "task_eval_aa.tsv").read_text()
+                     + (pipeline["task"] / "task_eval_bb.tsv").read_text())
+    code, err = eval_exit_and_error(pipeline, capsys, mixed)
+    assert code == 1
+    assert str(mixed) in err and "aa, bb" in err
+
+
+def test_eval_rejects_two_sets_of_one_language(pipeline, capsys):
+    aa, bb = (pipeline["task"] / f"task_eval_{lang}.tsv" for lang in ("aa", "bb"))
+    code, err = eval_exit_and_error(pipeline, capsys, aa, aa, bb)
+    assert code == 1
+    assert str(aa) in err and "'aa'" in err
+
+
 def test_runtime_errors_exit_two(pipeline, tmp_path, capsys):
     # corrupt checkpoint
     import shutil

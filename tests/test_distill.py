@@ -13,9 +13,8 @@ from cascadekd.distill import (
     CascadePlan,
     DistillStagePlan,
     LayerMapSpec,
-    attention_layer_loss,
     build_cascade_plan,
-    hidden_layer_loss,
+    distill_terms,
     run_cascade,
     run_stage,
     top_layer_init,
@@ -34,7 +33,6 @@ from cascadekd.errors import (
     DimensionMismatchError,
     HeadCountMismatchError,
     InvalidConfigError,
-    LayerIndexOutOfRangeError,
     NonFiniteLossError,
     TeacherTooShallowError,
 )
@@ -167,7 +165,7 @@ def test_attention_loss_hand_value():
     teacher, student = one_position_traces(
         t_attn_pairs=[[0.3], [0.5]], s_attn=[[0.5]],
         t_hidden=[0.0, 0.0, 0.0], s_hidden=[0.0, 0.0])
-    assert np.isclose(attention_layer_loss(teacher, student, 1).item(), 0.01)
+    assert np.isclose(distill_terms(teacher, student)[0].item(), 0.01)
 
 
 def test_attention_loss_averages_heads():
@@ -175,8 +173,7 @@ def test_attention_loss_averages_heads():
     teacher, student = one_position_traces(
         t_attn_pairs=[[0.3, 1.0], [0.5, 0.6]], s_attn=[[0.5, 1.1]],
         t_hidden=[0.0, 0.0, 0.0], s_hidden=[0.0, 0.0])
-    assert np.isclose(attention_layer_loss(teacher, student, 1).item(),
-                      (0.01 + 0.09) / 2.0)
+    assert np.isclose(distill_terms(teacher, student)[0].item(), (0.01 + 0.09) / 2.0)
 
 
 def test_hidden_loss_hand_value():
@@ -184,7 +181,8 @@ def test_hidden_loss_hand_value():
     teacher, student = one_position_traces(
         t_attn_pairs=[[0.0], [0.0]], s_attn=[[0.0]],
         t_hidden=[1.0, 3.0, 0.0], s_hidden=[1.0, 0.0])
-    assert np.isclose(hidden_layer_loss(teacher, student, 1).item(), 1.0)
+    # terms: attn_1, hidden_1, hidden_2
+    assert np.isclose(distill_terms(teacher, student)[1].item(), 1.0)
 
 
 def test_total_loss_hand_value():
@@ -195,32 +193,19 @@ def test_total_loss_hand_value():
     assert np.isclose(total_distill_loss(teacher, student).item(), 1.01)
 
 
-def test_loss_index_bounds():
-    rng = np.random.default_rng(1)
-    teacher, student, _ = random_trace_pair(rng, n=2)
-    for j in (0, 3):
-        with pytest.raises(LayerIndexOutOfRangeError):
-            attention_layer_loss(teacher, student, j)
-    for k in (0, 4):
-        with pytest.raises(LayerIndexOutOfRangeError):
-            hidden_layer_loss(teacher, student, k)
-
-
 def test_loss_rejects_mismatched_traces():
     rng = np.random.default_rng(2)
     teacher, student, arrays = random_trace_pair(rng, n=2, padded=False)
     fat_teacher, fat_student, _ = random_trace_pair(rng, n=2, heads=4,
                                                     padded=False)
-    with pytest.raises(HeadCountMismatchError):
-        attention_layer_loss(fat_teacher, student, 1)
-    with pytest.raises(HeadCountMismatchError):
-        total_distill_loss(fat_teacher, student)
+    for loss in (distill_terms, total_distill_loss):
+        with pytest.raises(HeadCountMismatchError):
+            loss(fat_teacher, student)
     t_hidden, t_attn, s_hidden, s_attn, mask = arrays
     other_mask = np.ones((2, 5), dtype=bool)
     other_mask[0, 2:] = False
     restamped = trace_from_arrays(s_hidden, s_attn, other_mask)
-    for loss in (lambda t, s: attention_layer_loss(t, s, 1),
-                 lambda t, s: hidden_layer_loss(t, s, 1), total_distill_loss):
+    for loss in (distill_terms, total_distill_loss):
         with pytest.raises(DimensionMismatchError):
             loss(teacher, restamped)
     # a hidden output of another width, at the bottom and at the top
@@ -238,8 +223,8 @@ def test_total_loss_is_the_mean_of_the_layer_losses():
     rng = np.random.default_rng(12)
     for n in (1, 2, 3):
         teacher, student, _ = random_trace_pair(rng, n=n)
-        terms = [attention_layer_loss(teacher, student, j).item() for j in range(1, n + 1)]
-        terms += [hidden_layer_loss(teacher, student, k).item() for k in range(1, n + 2)]
+        terms = [t.item() for t in distill_terms(teacher, student)]
+        assert len(terms) == 2 * n + 1
         assert total_distill_loss(teacher, student).item() == sum(terms) * (1.0 / n)
 
 

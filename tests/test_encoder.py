@@ -19,9 +19,9 @@ from cascadekd.errors import (
     SequenceTooLongError,
     TokenOutOfRangeError,
 )
-from cascadekd.tensor import Tensor, backward, cross_entropy, mse, no_grad
+from cascadekd.tensor import AttentionScores, Tensor, backward, cross_entropy, mse, no_grad
 
-from oracles import fd_denominator_floor, finite_difference_grad, max_relative_error
+from oracles import fd_denominator_floor, finite_difference_grad, max_relative_error, total
 
 
 def toy_config(**overrides):
@@ -187,7 +187,7 @@ def test_frozen_embeddings_get_no_grad():
     model = init_random(toy_config(), seed=2)
     ids, mask = toy_batch(rng)
     trace = model.forward(ids, mask)
-    backward(trace.hidden[-1].sum() * 1e-3)
+    backward(total(trace.hidden[-1], 1e-3))
     assert model.token_embeddings.grad is None
     assert model.layers[0].wq.grad is not None
 
@@ -254,6 +254,18 @@ def test_classifier_head_and_classify():
     mask = np.array([[True, True, True, False]])
     logits = classify(model, head, ids, mask)
     assert logits.shape == (1, 3)
+    # The graph holds full (B, H, T, T) scores below the top layer only,
+    # which forms its scores at [CLS] alone.
+    score_shapes, seen, stack = [], set(), [logits]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t._ctx is None:
+            continue
+        seen.add(id(t))
+        if isinstance(t._ctx, AttentionScores):
+            score_shapes.append(t.shape)
+        stack.extend(t._ctx.parents)
+    assert sorted(score_shapes) == [(1, 2, 1, 4), (1, 2, 4, 4)]
     with pytest.raises(InvalidConfigError):
         ClassifierHead(8, num_classes=1)
     wrong = ClassifierHead(16, num_classes=3, seed=1)

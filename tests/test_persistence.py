@@ -1,5 +1,6 @@
 """Checkpoint, metrics, report, and run-config persistence."""
 
+import hashlib
 import json
 import warnings
 
@@ -130,6 +131,23 @@ def test_shape_mismatch_rejected(tmp_path):
 
     _edit_manifest(tmp_path / "ckpt", flip_shape)
     with pytest.raises(ShapeMismatchError):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("delta", [-8, 8])
+def test_byte_count_that_does_not_fit_the_shape_rejected(tmp_path, delta):
+    # The digest matches the bytes the record names, so only the count is wrong.
+    save_checkpoint(tmp_path / "ckpt", tiny_model())
+    raw = (tmp_path / "ckpt" / WEIGHTS_NAME).read_bytes()
+
+    def resize(manifest):
+        record = manifest["tensors"][0]
+        record["nbytes"] += delta
+        blob = raw[record["offset"]:record["offset"] + record["nbytes"]]
+        record["sha256"] = hashlib.sha256(blob).hexdigest()
+
+    _edit_manifest(tmp_path / "ckpt", resize)
+    with pytest.raises(InvalidConfigError, match="bytes"):
         load_checkpoint(tmp_path / "ckpt")
 
 

@@ -1,11 +1,15 @@
 """Property tests: invariants stated in module docstrings and FD-gradient
 agreement of tape ops, checked over random shapes and masks."""
 
+import inspect
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cascadekd import tensor
 from cascadekd.checkpoint import WEIGHTS_NAME, load_checkpoint, save_checkpoint
 from cascadekd.corpus import Batch
 from cascadekd.distill import total_distill_loss
@@ -26,13 +30,16 @@ from cascadekd.tensor import (
     backward,
     cross_entropy,
     feed_forward,
+    gather_rows,
     layer_norm,
     linear,
+    mse,
     no_grad,
     softmax_rows,
 )
 from cascadekd.training import PREDICT_SLICE, predict
 
+from oracles import total
 from test_persistence import tiny_model
 from test_tensor import check_grads
 from test_training import small_model
@@ -94,6 +101,188 @@ def test_padded_positions_move_neither_loss_nor_student_gradients(case, scale):
         assert np.array_equal(g, garbage_g)
 
 
+# ---------------------------------------------------------------------------
+# finite-difference agreement of every tape op
+# ---------------------------------------------------------------------------
+# One row per `Function` subclass of `tensor.py`. A row draws an op's
+# shapes and inputs, and returns a scalar `build()` over the op, the inputs
+# and the FD step. Each input is drawn either as a constant or as needing a
+# gradient, with at least one needing it.
+
+FD_STEP = 1e-5
+
+
+def _inputs(draw, rng, shapes):
+    needs = draw(st.lists(st.booleans(), min_size=len(shapes), max_size=len(shapes))
+                 .filter(any), label="needs grad")
+    return [Tensor(rng.normal(size=shape), requires_grad=need)
+            for shape, need in zip(shapes, needs)]
+
+
+def _lead(draw, min_size=0):
+    return tuple(draw(st.lists(st.integers(1, 5), min_size=min_size, max_size=2), label="lead"))
+
+
+def _broadcasting_shapes(draw):
+    """A shape and one that broadcasts to it (a suffix of it, some extents
+    set to 1), in either order."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="shape"))
+    suffix = shape[draw(st.integers(0, len(shape)), label="cut"):]
+    ones = draw(st.lists(st.booleans(), min_size=len(suffix), max_size=len(suffix)), label="ones")
+    other = tuple(1 if one else n for n, one in zip(suffix, ones))
+    return [shape, other] if draw(st.booleans(), label="swap") else [other, shape]
+
+
+def _broadcasting_row(op):
+    def row(draw, rng):
+        a, b = _inputs(draw, rng, _broadcasting_shapes(draw))
+        weights = rng.normal(size=np.broadcast_shapes(a.shape, b.shape))
+        return lambda: total(op(a, b), weights), [a, b], FD_STEP
+    return row
+
+
+def _tanh_row(draw, rng):
+    x, = _inputs(draw, rng, [(*_lead(draw), draw(st.integers(1, 4)))])
+    x.data *= 2.0
+    weights = rng.normal(size=x.shape)
+    return lambda: total(x.tanh(), weights), [x], FD_STEP
+
+
+SLICE_KEYS = (1, (slice(None), 0), (Ellipsis, slice(1, None)),
+              (slice(None), slice(None, None, 2)), (slice(None), slice(1, 3)))
+
+
+def _slice_row(draw, rng):
+    # Two overlapping slices multiplied, plus one drawn key: the gradients
+    # of several Slice nodes merge into one input.
+    x, = _inputs(draw, rng, [(2, draw(st.integers(2, 4)), draw(st.integers(1, 3)))])
+    key = draw(st.sampled_from(SLICE_KEYS), label="key")
+    weights = rng.normal(size=x.data[key].shape)
+    return lambda: total(x[:, :-1] * x[:, 1:]) + total(x[key], weights), [x], FD_STEP
+
+
+def _gather_rows_row(draw, rng):
+    vocab, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    table, = _inputs(draw, rng, [(vocab, d)])
+    ids = rng.integers(0, vocab, size=(draw(st.integers(1, 2)), draw(st.integers(1, 5))))
+    weights = rng.normal(size=(*ids.shape, d))
+    return lambda: total(gather_rows(table, ids), weights), [table], FD_STEP
+
+
+def _softmax_rows_row(draw, rng):
+    lead, n = _lead(draw), draw(st.integers(1, 5))
+    x, = _inputs(draw, rng, [(*lead, n)])
+    x.data *= 3.0
+    mask = None
+    form = draw(st.sampled_from(("none", "keys", "full")), label="mask")
+    if form != "none":
+        mask = rng.random((n,) if form == "keys" else (*lead, n)) < 0.6
+        mask[..., rng.integers(n)] = True  # every row keeps an entry
+    weights = rng.normal(size=(*lead, n))
+    return lambda: total(softmax_rows(x, mask=mask), weights), [x], FD_STEP
+
+
+def _mse_row(draw, rng):
+    shape = (*_lead(draw), draw(st.integers(1, 4)))
+    x, y = _inputs(draw, rng, [shape, shape])
+    include = None
+    if draw(st.booleans(), label="masked"):
+        include = rng.random((*shape[:-1], 1)) < 0.5  # broadcast over the last axis
+        include.flat[rng.integers(include.size)] = True
+    return lambda: mse(x, y, include=include), [x, y], FD_STEP
+
+
+def _cross_entropy_row(draw, rng):
+    batch, classes = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    logits, = _inputs(draw, rng, [(batch, classes)])
+    labels = rng.integers(0, classes, size=batch)
+    return lambda: cross_entropy(logits, labels), [logits], FD_STEP
+
+
+def _linear_row(draw, rng):
+    lead, d_in, d_out = _lead(draw), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    inputs = _inputs(draw, rng, [(*lead, d_in), (d_in, d_out), (d_out,)])
+    weights = rng.normal(size=(*lead, d_out))
+    return lambda: total(linear(*inputs), weights), inputs, FD_STEP
+
+
+def _layer_norm_row(draw, rng):
+    lead, d = _lead(draw), draw(st.integers(2, 6))
+    scale = draw(st.floats(1e-2, 1e2), label="scale")
+    x, gain, bias = inputs = _inputs(draw, rng, [(*lead, d), (d,), (d,)])
+    x.data *= scale
+    weights = rng.normal(size=(*lead, d))
+    # Layer norm is invariant to the scale of x, so the FD step follows it.
+    return (lambda: total(layer_norm(x, gain, bias, 1e-12), weights), inputs,
+            FD_STEP * scale)
+
+
+def _attention_scores_row(draw, rng):
+    batch, seq = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    heads, head_dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    start = draw(st.integers(0, seq - 1), label="first query row")
+    stop = draw(st.integers(start + 1, seq), label="query row stop")
+    rows = draw(st.sampled_from((slice(None), slice(start, stop))), label="rows")
+    d = heads * head_dim
+    inputs = _inputs(draw, rng, [(batch, seq, d), (d, d), (d,), (d, d), (d,)])
+    weights = rng.normal(size=(batch, heads, len(range(seq)[rows]), seq))
+    return (lambda: total(attention_scores(*inputs, heads, rows=rows), weights), inputs,
+            FD_STEP)
+
+
+def _attention_context_row(draw, rng):
+    batch, seq = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    heads, head_dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    query_rows = draw(st.integers(1, seq), label="query rows")
+    probs, v = inputs = _inputs(draw, rng, [(batch, heads, query_rows, seq),
+                                            (batch, seq, heads * head_dim)])
+    weights = rng.normal(size=(batch, query_rows, heads * head_dim))
+    return lambda: total(attention_context(probs, v, heads), weights), inputs, FD_STEP
+
+
+def _feed_forward_row(draw, rng):
+    lead, d, f = _lead(draw, min_size=1), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    inputs = _inputs(draw, rng, [(*lead, d), (d, f), (f,), (f, d), (d,)])
+    inputs[0].data *= draw(st.floats(1e-2, 3.0), label="scale")
+    weights = rng.normal(size=(*lead, d))
+    return lambda: total(feed_forward(*inputs), weights), inputs, FD_STEP
+
+
+FD_ROWS = {
+    tensor.Add: _broadcasting_row(operator.add),
+    tensor.Mul: _broadcasting_row(operator.mul),
+    tensor.Tanh: _tanh_row,
+    tensor.Slice: _slice_row,
+    tensor.GatherRows: _gather_rows_row,
+    tensor.SoftmaxRows: _softmax_rows_row,
+    tensor.Mse: _mse_row,
+    tensor.CrossEntropy: _cross_entropy_row,
+    tensor.Linear: _linear_row,
+    tensor.LayerNorm: _layer_norm_row,
+    tensor.AttentionScores: _attention_scores_row,
+    tensor.AttentionContext: _attention_context_row,
+    tensor.FeedForward: _feed_forward_row,
+}
+
+
+def test_fd_table_has_a_row_for_every_tape_op():
+    defined = {cls for _, cls in inspect.getmembers(tensor, inspect.isclass)
+               if issubclass(cls, tensor.Function) and cls is not tensor.Function
+               and cls.__module__ == tensor.__name__}
+    assert set(FD_ROWS) == defined
+
+
+@pytest.mark.parametrize("op", FD_ROWS, ids=lambda op: op.__name__)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_tape_op_matches_finite_differences(op, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    build, inputs, step = FD_ROWS[op](data.draw, rng)
+    check_grads(build, [t for t in inputs if t.requires_grad], h=step)
+    for t in inputs:
+        assert (t.grad is None) == (not t.requires_grad)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(lead=st.lists(st.integers(1, 3), max_size=2), d_in=st.integers(1, 4),
        d_out=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
@@ -102,8 +291,8 @@ def test_linear_matches_finite_differences(lead, d_in, d_out, seed):
     x = Tensor(rng.normal(size=(*lead, d_in)), requires_grad=True)
     w = Tensor(rng.normal(size=(d_in, d_out)), requires_grad=True)
     b = Tensor(rng.normal(size=d_out), requires_grad=True)
-    target = Tensor(rng.normal(size=(*lead, d_out)))
-    check_grads(lambda: ((linear(x, w, b) - target) ** 2).sum(), [x, w, b])
+    weights = rng.normal(size=(*lead, d_out))
+    check_grads(lambda: total(linear(x, w, b), weights), [x, w, b])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -114,10 +303,10 @@ def test_layer_norm_matches_finite_differences(lead, dim, scale, seed):
     x = Tensor(scale * rng.normal(size=(*lead, dim)), requires_grad=True)
     gain = Tensor(rng.normal(size=dim), requires_grad=True)
     bias = Tensor(rng.normal(size=dim), requires_grad=True)
-    target = Tensor(rng.normal(size=(*lead, dim)))
+    weights = rng.normal(size=(*lead, dim))
     # Layer norm is invariant to the scale of x, so the FD step follows it;
     # a fixed step would add truncation error that grows as scale shrinks.
-    check_grads(lambda: ((layer_norm(x, gain, bias, 1e-12) - target) ** 2).sum(),
+    check_grads(lambda: total(layer_norm(x, gain, bias, 1e-12), weights),
                 [x, gain, bias], h=1e-5 * scale)
 
 
@@ -141,13 +330,13 @@ def test_attention_scores_match_finite_differences(case, capture, constant_x, se
     x = Tensor(rng.normal(size=(batch, seq, d)), requires_grad=not constant_x)
     params = [Tensor(rng.normal(size=shape), requires_grad=True)
               for shape in ((d, d), (d,), (d, d), (d,))]
-    weights = Tensor(rng.normal(size=(batch, heads, seq, seq)))
+    weights = rng.normal(size=(batch, heads, seq, seq))
 
     def build():
         scores = attention_scores(x, *params, heads)
         if capture != PRE_SOFTMAX_SCALED:
             scores = softmax_rows(scores, mask=key_mask)
-        return (scores * weights).sum()
+        return total(scores, weights)
 
     check_grads(build, params + ([] if constant_x else [x]))
     assert (x.grad is None) == constant_x
@@ -163,13 +352,13 @@ def test_attention_context_matches_finite_differences(case, constant_probs, data
     logits = Tensor(rng.normal(size=(batch, heads, query_rows, seq)),
                     requires_grad=not constant_probs)
     v = Tensor(rng.normal(size=(batch, seq, d)), requires_grad=True)
-    weights = Tensor(rng.normal(size=(batch, query_rows, d)))
+    weights = rng.normal(size=(batch, query_rows, d))
 
     def build():
         probs = softmax_rows(logits, mask=key_mask)
         if constant_probs:
             probs = probs.detach()
-        return (attention_context(probs, v, heads) * weights).sum()
+        return total(attention_context(probs, v, heads), weights)
 
     check_grads(build, [v] + ([] if constant_probs else [logits]))
     assert (logits.grad is None) == constant_probs
@@ -184,8 +373,8 @@ def test_feed_forward_matches_finite_differences(lead, d, f, constant_x, scale, 
     x = Tensor(scale * rng.normal(size=(*lead, d)), requires_grad=not constant_x)
     params = [Tensor(rng.normal(size=shape), requires_grad=True)
               for shape in ((d, f), (f,), (f, d), (d,))]
-    weights = Tensor(rng.normal(size=(*lead, d)))
-    check_grads(lambda: (feed_forward(x, *params) * weights).sum(),
+    weights = rng.normal(size=(*lead, d))
+    check_grads(lambda: total(feed_forward(x, *params), weights),
                 params + ([] if constant_x else [x]))
     assert (x.grad is None) == constant_x
 
