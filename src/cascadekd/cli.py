@@ -11,6 +11,7 @@ runtime failures (I/O, corrupt checkpoints, numerical blowups).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import replace
@@ -77,6 +78,10 @@ def _recycling_batches(texts, vocab: TokenizerVocab, max_len: int,
     return generator()
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _labeled_batch(path, vocab: TokenizerVocab, max_len: int) -> tuple[str, Batch]:
     """The file's one language and its examples as one batch."""
     rows = read_labeled(path)
@@ -112,7 +117,9 @@ def cmd_gen_corpus(args) -> int:
     lines = generate_synthetic_corpus(spec, total, config.seeds.corpus)
     lines = shuffle_lines(lines, config.seeds.shuffle)
     write_corpus(out / CORPUS_FILE, lines)
-    spec.table().save(out / LANGUAGES_FILE)
+    with open(out / LANGUAGES_FILE, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows((lang.name, repr(float(lang.size_bytes)))
+                                 for lang in spec.languages)
     markers = [class_marker(c) for c in range(config.finetune.num_classes)]
     vocab = TokenizerVocab.build((text for _, text in lines),
                                  config.corpus.vocab_size, extra_tokens=markers)
@@ -181,7 +188,6 @@ def cmd_cascade(args) -> int:
             save_checkpoint(path, stage_result.model,
                             stage_index=stage_result.stage_index,
                             step_count=len(stage_result.loss_trace))
-            stage_result.checkpoint_path = str(path)
             first, last = stage_result.loss_trace[0], stage_result.loss_trace[-1]
             print(f"stage {stage_result.stage_index}: depth "
                   f"{stage_result.teacher_depth} -> {stage_result.student_depth}, "
@@ -259,12 +265,19 @@ def cmd_report(args) -> int:
     for path in args.results:
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-            rows.append((payload["label"], payload["per_language"]))
+            label, accuracies = payload["label"], payload["per_language"]
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidConfigError(
                 f"{path}: not an eval result: {type(exc).__name__}: {exc}") from None
+        if not (isinstance(label, str) and isinstance(accuracies, dict) and accuracies
+                and all(map(_is_number, [*accuracies.values(),
+                                         payload.get("average", 0.0)]))):
+            raise InvalidConfigError(
+                f"{path}: not an eval result: needs a string label, a non-empty "
+                f"per_language map of accuracies and a numeric average if any")
+        rows.append((label, accuracies))
         if "average" in payload:
-            provided[payload["label"]] = payload["average"]
+            provided[label] = payload["average"]
     table = emit_report(rows, provided_averages=provided)
     print(table, end="")
     if args.out:

@@ -110,6 +110,11 @@ class RunConfig:
             raise InvalidConfigError(
                 f"model vocab {self.model.vocab_size} != corpus vocab "
                 f"{self.corpus.vocab_size}")
+        # Build what the commands build, so a bad value fails when the file
+        # is parsed rather than partway through a command.
+        self.cascade_plan()
+        self.finetune_config(self.seeds.finetune)
+        self.corpus_spec()
 
     def language_sizes(self) -> dict[str, float]:
         sizes = {}
@@ -121,8 +126,11 @@ class RunConfig:
                 raise InvalidConfigError(
                     f"language entry {part!r} is not name:size")
             name, _, size = part.partition(":")
+            name = name.strip()
+            if name in sizes:
+                raise InvalidConfigError(f"language {name!r} is listed twice")
             try:
-                sizes[name.strip()] = float(size)
+                sizes[name] = float(size)
             except ValueError:
                 raise InvalidConfigError(f"bad language size in {part!r}") from None
         if not sizes:
@@ -136,8 +144,7 @@ class RunConfig:
             languages=langs,
             min_words_per_line=self.corpus.min_words_per_line,
             max_words_per_line=self.corpus.max_words_per_line,
-            smoothing_target_ratio=self.corpus.smoothing_target_ratio,
-            allow_single_language=len(langs) == 1)
+            smoothing_target_ratio=self.corpus.smoothing_target_ratio)
 
     def pretrain_optimizer(self) -> OptimizerConfig:
         return OptimizerConfig(

@@ -4,8 +4,8 @@ language sampling, whitespace tokenization, and batching.
 Languages are order-2 character Markov chains over disjoint alphabets, so
 language identity is learnable at tiny scale. Lines are sampled i.i.d.
 from the smoothed distribution P'(lang) = P(lang)^S / sum_k P(k)^S, where
-P is proportional to on-disk size and S is solved so a chosen large/small
-language pair hits a target probability ratio.
+P is proportional to on-disk size and S is solved so the largest and the
+smallest language hit a target probability ratio.
 
 One line is one training example. Case is never folded.
 """
@@ -13,8 +13,8 @@ One line is one training example. Case is never folded.
 from __future__ import annotations
 
 import bisect
-import csv
 import json
+import math
 import random
 import string
 from collections import Counter
@@ -45,8 +45,9 @@ def size_distribution(sizes: Mapping[str, float]) -> dict[str, float]:
     if not sizes:
         raise EmptyTableError("no languages given")
     for name, size in sizes.items():
-        if size <= 0:
-            raise NonPositiveSizeError(f"language {name!r} has size {size}")
+        if not 0 < size < math.inf:
+            raise NonPositiveSizeError(
+                f"language {name!r} has size {size}; sizes must be finite and > 0")
     total = float(sum(sizes.values()))
     return {name: size / total for name, size in sizes.items()}
 
@@ -82,88 +83,13 @@ def exponentiate_distribution(probabilities: Mapping[str, float], exponent: floa
     return dict(zip(probabilities.keys(), powered.tolist()))
 
 
-@dataclass(frozen=True)
-class LanguageEntry:
-    name: str
-    size_bytes: float
-    probability: float
-    smoothed_probability: float
-
-
-@dataclass(frozen=True)
-class LanguageTable:
-    """Per-language sizes with raw and smoothed sampling probabilities."""
-
-    entries: tuple[LanguageEntry, ...]
-    exponent: float
-
-    def __post_init__(self):
-        if not self.entries:
-            raise EmptyTableError("language table has no entries")
-        for p_name in ("probability", "smoothed_probability"):
-            total = sum(getattr(e, p_name) for e in self.entries)
-            if abs(total - 1.0) > PROBABILITY_TOL:
-                raise InvalidDistributionError(f"{p_name} sums to {total}, not 1")
-
-    @classmethod
-    def from_sizes(cls, sizes: Mapping[str, float], target_ratio: float = 100.0,
-                   anchor_large: Optional[str] = None,
-                   anchor_small: Optional[str] = None) -> "LanguageTable":
-        """Build the table, solving the smoothing exponent from the anchor
-        pair (defaults: the largest and smallest languages)."""
-        raw = size_distribution(sizes)
-        if len(raw) == 1:
-            exponent = 1.0
-            smoothed = dict(raw)
-        else:
-            anchor_large = anchor_large or max(raw, key=lambda k: (raw[k], k))
-            anchor_small = anchor_small or min(raw, key=lambda k: (raw[k], k))
-            if raw[anchor_large] == raw[anchor_small]:
-                # Smoothing a flat anchor pair is the identity for any S.
-                exponent = 1.0
-            else:
-                exponent = solve_smoothing_exponent(
-                    raw[anchor_large], raw[anchor_small], target_ratio)
-            smoothed = exponentiate_distribution(raw, exponent)
-        entries = tuple(
-            LanguageEntry(name=name, size_bytes=float(sizes[name]),
-                          probability=raw[name], smoothed_probability=smoothed[name])
-            for name in sizes)
-        return cls(entries=entries, exponent=exponent)
-
-    @property
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
-    def probabilities(self) -> dict[str, float]:
-        return {e.name: e.probability for e in self.entries}
-
-    def smoothed(self) -> dict[str, float]:
-        return {e.name: e.smoothed_probability for e in self.entries}
-
-    def save(self, path) -> None:
-        """Write rows `lang,size_bytes`."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            for entry in self.entries:
-                writer.writerow([entry.name, repr(entry.size_bytes)])
-
-    @classmethod
-    def load(cls, path, target_ratio: float = 100.0) -> "LanguageTable":
-        sizes: dict[str, float] = {}
-        with open(path, encoding="utf-8", newline="") as fh:
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                sizes[row[0]] = float(row[1])
-        return cls.from_sizes(sizes, target_ratio=target_ratio)
-
-
 # ---------------------------------------------------------------------------
 # synthetic language models
 # ---------------------------------------------------------------------------
 
 _ALPHABET_CHUNK = 8
+MIN_WORD_LEN = 2
+MAX_WORD_LEN = 4
 
 
 def _default_alphabets(count: int) -> list[str]:
@@ -181,8 +107,6 @@ class LanguageSpec:
     name: str
     size_bytes: float
     alphabet: str = ""
-    min_word_len: int = 2
-    max_word_len: int = 4
 
 
 @dataclass(frozen=True)
@@ -193,16 +117,10 @@ class CorpusSpec:
     min_words_per_line: int = 3
     max_words_per_line: int = 8
     smoothing_target_ratio: float = 100.0
-    anchor_large: Optional[str] = None
-    anchor_small: Optional[str] = None
-    allow_single_language: bool = False
 
     def __post_init__(self):
         if not self.languages:
             raise InvalidSpecError("corpus spec needs at least one language")
-        if len(self.languages) == 1 and not self.allow_single_language:
-            raise InvalidSpecError(
-                "single-language corpus needs allow_single_language set")
         if not 1 <= self.min_words_per_line <= self.max_words_per_line:
             raise InvalidSpecError("bad words-per-line range")
         names = [lang.name for lang in self.languages]
@@ -217,20 +135,22 @@ class CorpusSpec:
         alphabets = [lang.alphabet for lang in self.languages]
         if len(set(alphabets)) != len(alphabets):
             raise InvalidSpecError("languages need distinct character distributions")
-        for lang in self.languages:
-            if not 1 <= lang.min_word_len <= lang.max_word_len:
-                raise InvalidSpecError(f"bad word-length range for {lang.name!r}")
 
     @classmethod
     def from_sizes(cls, sizes: Mapping[str, float], **kwargs) -> "CorpusSpec":
         langs = tuple(LanguageSpec(name=n, size_bytes=float(s)) for n, s in sizes.items())
         return cls(languages=langs, **kwargs)
 
-    def table(self) -> LanguageTable:
-        sizes = {lang.name: lang.size_bytes for lang in self.languages}
-        return LanguageTable.from_sizes(
-            sizes, target_ratio=self.smoothing_target_ratio,
-            anchor_large=self.anchor_large, anchor_small=self.anchor_small)
+    def sampling_probabilities(self) -> dict[str, float]:
+        """Smoothed probability of each language, with the exponent solved
+        so the largest language is `smoothing_target_ratio` times as likely
+        as the smallest. When those two are the same size (one language
+        included), the exponent is 1: the raw distribution, renormalized."""
+        raw = size_distribution({lang.name: lang.size_bytes for lang in self.languages})
+        largest, smallest = max(raw.values()), min(raw.values())
+        exponent = 1.0 if largest == smallest else solve_smoothing_exponent(
+            largest, smallest, self.smoothing_target_ratio)
+        return exponentiate_distribution(raw, exponent)
 
 
 class _MarkovLanguage:
@@ -261,7 +181,7 @@ class _MarkovLanguage:
                 self._cum[(c1, c2)] = cum
 
     def word(self, rng: random.Random) -> str:
-        length = rng.randint(self.spec.min_word_len, self.spec.max_word_len)
+        length = rng.randint(MIN_WORD_LEN, MAX_WORD_LEN)
         prev2 = prev1 = self._START
         out = []
         for _ in range(length):
@@ -286,10 +206,9 @@ def generate_synthetic_corpus(spec: CorpusSpec, total_lines: int,
     i.i.d. from the smoothed distribution."""
     if total_lines < 0:
         raise InvalidSpecError("total_lines must be >= 0")
-    table = spec.table()
     models = [_MarkovLanguage(lang, _language_seed(seed, i))
               for i, lang in enumerate(spec.languages)]
-    weights = [table.smoothed()[lang.name] for lang in spec.languages]
+    weights = list(spec.sampling_probabilities().values())
     rng = random.Random(seed)
     picks = rng.choices(range(len(models)), weights=weights, k=total_lines)
     lines = []

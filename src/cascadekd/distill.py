@@ -324,7 +324,6 @@ class StageResult:
     model: EncoderModel
     loss_trace: list[float]
     batch_range: tuple[int, int]
-    checkpoint_path: Optional[str] = None
 
 
 @dataclass

@@ -199,10 +199,6 @@ class EncoderModel:
     def trainable_parameters(self) -> list[tuple[str, Tensor]]:
         return [(name, t) for name, t in self.parameters() if t.requires_grad]
 
-    def zero_grad(self) -> None:
-        for _, t in self.parameters():
-            t.zero_grad()
-
     @property
     def num_layers(self) -> int:
         return len(self.layers)
@@ -323,10 +319,6 @@ class ClassifierHead:
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [(name, getattr(self, name)) for name in self.PARAM_NAMES]
-
-    def zero_grad(self) -> None:
-        for _, t in self.parameters():
-            t.zero_grad()
 
 
 def classify(model: EncoderModel, head: ClassifierHead, token_ids, attention_mask,

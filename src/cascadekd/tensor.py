@@ -126,9 +126,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __len__(self) -> int:
         return len(self.data)
 
@@ -136,9 +133,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- gradient management --------------------------------------------
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def detach(self) -> "Tensor":
         """A view of the same data cut off from any graph."""
@@ -227,8 +221,8 @@ _CONSTANT = Tensor(np.empty(0))
 def backward(loss: Tensor) -> None:
     """Populate `grad` on every reachable `requires_grad` leaf.
 
-    Repeated calls without `zero_grad` accumulate, so a sum of losses
-    equals the sum of per-loss gradients.
+    Repeated calls accumulate until `grad` is cleared (`Adam.zero_grad`
+    does that), so a sum of losses equals the sum of per-loss gradients.
     """
     if loss.numel != 1:
         raise NonScalarLossError(f"backward needs a scalar loss, got shape {loss.shape}")

@@ -237,8 +237,7 @@ def test_criterion_5_sampling_correctness():
     spec = CorpusSpec(languages=(
         LanguageSpec("en", 1048576.0), LanguageSpec("es", 65536.0),
         LanguageSpec("de", 16384.0), LanguageSpec("ur", 1024.0)))
-    table = spec.table()
-    smoothed = table.smoothed()
+    smoothed = spec.sampling_probabilities()
     ratio = smoothed["en"] / smoothed["ur"]
     ratio_err = abs(ratio - 100.0) / 100.0
 

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, artifacts, and the full pipeline."""
 
+import hashlib
 import json
 
 import pytest
@@ -314,3 +315,75 @@ def test_seed_override_changes_corpus(pipeline, tmp_path):
                  "--seed", "77", "--out", str(out)]) == 0
     assert (out / "corpus.tsv").read_bytes() != \
         (pipeline["corpus"] / "corpus.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("languages", [
+    "en:nan,es:65536", "en:inf,es:65536", "en:0,es:65536", "en:-1,es:65536",
+    "en:1048576,en:1024,es:65536"])
+def test_gen_corpus_rejects_a_bad_language_list(tmp_path, capsys, languages):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[corpus]\nlanguages = {languages}\n")
+    out = tmp_path / "corpus"
+    assert main(["gen-corpus", "--config", str(ini), "--out", str(out)]) == 1
+    assert "error: language 'en'" in capsys.readouterr().err
+    assert not (out / "corpus.tsv").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("pretrain", "micro_batch_size", "5"),
+    ("pretrain", "peak_lr", "-1"),
+    ("finetune", "epochs", "-1"),
+    ("finetune", "num_classes", "1"),
+    ("cascade", "steps_per_stage", "0")])
+def test_a_bad_section_value_fails_when_the_config_is_parsed(tmp_path, capsys,
+                                                             section, key, value):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out.ini"
+    assert main(["init-config", "--config", str(ini), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", [
+    {"label": "m", "per_language": [0.5]},
+    {"label": "m", "per_language": {"en": "0.5"}},
+    {"label": 3, "per_language": {"en": 0.5}},
+    {"label": "m", "per_language": {}},
+    {"label": "m", "per_language": {"en": 0.5}, "average": "0.5"}],
+    ids=["list-per-language", "string-accuracy", "int-label", "empty-per-language",
+         "string-average"])
+def test_report_rejects_a_malformed_eval_result(tmp_path, capsys, payload):
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(payload))
+    assert main(["report", str(path)]) == 1
+    assert str(path) in capsys.readouterr().err
+
+
+# sha256 of each file the default chain writes, recorded before the
+# language table became `CorpusSpec.sampling_probabilities`; a refactor
+# of corpus or task generation must not move them.
+DEFAULT_CHAIN_DIGESTS = {
+    "config.ini": "439450704e0f107a338db6664d4f41d17100184c63dcef0aff6023564cd9b7c9",
+    "corpus/corpus.tsv": "dc423a15c2288ac4eae6e7a5c54003f91cd9ee7a953715613c74447c12b7b6a1",
+    "corpus/languages.csv": "fd9a0c8c8d17c342c5dd1322cd395b2a0b2c2fda0ea64b9ab6b79d0d2c38a10e",
+    "corpus/vocab.json": "89056552af316627722ea875106d8236ada9073230a17d8ad87b8d0330bc9b2d",
+    "task/task_eval_de.tsv": "e7f8fd526c827b3e146af669dfba75f5198e7cbd596f1c2935b56258c5f8dfa2",
+    "task/task_eval_en.tsv": "c0f505d9b938bf6ace6559c6addf6166a0c0307265dff8c3fa2245a0b48587e0",
+    "task/task_eval_es.tsv": "d1575860c9da185402de099c01d851f8c26eb0d660d820ce8b1323383cc271c6",
+    "task/task_eval_ur.tsv": "8d478efd6ca71053c9086c125443092b701f5e8a89a19a719361b470ed32d448",
+    "task/task_train_en.tsv": "73904cf7304f15bc9193967a0fca063823eb57b2fca7c3ea01dea1e2e247d017",
+}
+
+
+def test_default_chain_writes_pinned_bytes(tmp_path):
+    ini = tmp_path / "config.ini"
+    assert main(["init-config", "--out", str(ini)]) == 0
+    assert main(["gen-corpus", "--config", str(ini), "--out", str(tmp_path / "corpus"),
+                 "--lines", "2000"]) == 0
+    assert main(["gen-task", "--config", str(ini), "--out", str(tmp_path / "task"),
+                 "--language", "en"]) == 0
+    written = {path.relative_to(tmp_path).as_posix():
+               hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.rglob("*") if path.is_file()}
+    assert written == DEFAULT_CHAIN_DIGESTS

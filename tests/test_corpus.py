@@ -5,11 +5,11 @@ trips."""
 import numpy as np
 import pytest
 
+from cascadekd.cli import main
 from cascadekd.corpus import (
     Batch,
     CorpusSpec,
     LanguageSpec,
-    LanguageTable,
     TokenizerVocab,
     batch_stream,
     class_marker,
@@ -48,6 +48,12 @@ def test_size_distribution():
         size_distribution({})
     with pytest.raises(NonPositiveSizeError):
         size_distribution({"a": 0})
+
+
+@pytest.mark.parametrize("size", [float("nan"), float("inf"), 0.0, -1.0])
+def test_size_distribution_rejects_a_size_that_is_not_finite_and_positive(size):
+    with pytest.raises(NonPositiveSizeError, match="'b'"):
+        size_distribution({"a": 10.0, "b": size})
 
 
 def test_solve_exponent_hand_value():
@@ -110,29 +116,28 @@ def test_exponentiate_preserves_order():
 
 
 def test_language_table_from_sizes():
-    table = LanguageTable.from_sizes({"big": 1e6, "mid": 1e4, "small": 1e2},
-                                     target_ratio=100.0)
-    smoothed = table.smoothed()
+    spec = CorpusSpec.from_sizes({"big": 1e6, "mid": 1e4, "small": 1e2},
+                                 smoothing_target_ratio=100.0)
+    smoothed = spec.sampling_probabilities()
     assert np.isclose(smoothed["big"] / smoothed["small"], 100.0)
     assert np.isclose(sum(smoothed.values()), 1.0)
-    assert np.isclose(sum(table.probabilities().values()), 1.0)
     # smoothing must not reorder languages
     assert smoothed["big"] > smoothed["mid"] > smoothed["small"]
 
 
 def test_language_table_degenerate_cases():
-    single = LanguageTable.from_sizes({"only": 10})
-    assert single.smoothed() == {"only": 1.0}
-    flat = LanguageTable.from_sizes({"a": 5, "b": 5})
-    assert np.isclose(flat.smoothed()["a"], 0.5)
+    single = CorpusSpec.from_sizes({"only": 10})
+    assert single.sampling_probabilities() == {"only": 1.0}
+    flat = CorpusSpec.from_sizes({"a": 5, "b": 5})
+    assert np.isclose(flat.sampling_probabilities()["a"], 0.5)
 
 
 def test_language_table_csv_round_trip(tmp_path):
-    table = LanguageTable.from_sizes({"en": 123456.0, "ur": 77.5})
-    path = tmp_path / "languages.csv"
-    table.save(path)
-    loaded = LanguageTable.load(path)
-    assert loaded == table
+    ini = tmp_path / "run.ini"
+    ini.write_text("[corpus]\nlanguages = en:123456,ur:77.5\n")
+    assert main(["gen-corpus", "--config", str(ini), "--out", str(tmp_path),
+                 "--lines", "16"]) == 0
+    assert (tmp_path / "languages.csv").read_bytes() == b"en,123456.0\r\nur,77.5\r\n"
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +152,7 @@ def four_language_spec(**overrides):
 def test_corpus_spec_validation():
     with pytest.raises(InvalidSpecError):
         CorpusSpec(languages=())
-    with pytest.raises(InvalidSpecError):
-        CorpusSpec.from_sizes({"solo": 10})
-    solo = CorpusSpec.from_sizes({"solo": 10}, allow_single_language=True)
+    solo = CorpusSpec.from_sizes({"solo": 10})
     assert solo.languages[0].alphabet
     with pytest.raises(InvalidSpecError):
         CorpusSpec(languages=(LanguageSpec("a", 1, alphabet="xy"),
@@ -177,7 +180,7 @@ def test_generated_text_stays_in_alphabet():
 
 def test_language_frequencies_track_smoothed_distribution():
     spec = four_language_spec()
-    smoothed = spec.table().smoothed()
+    smoothed = spec.sampling_probabilities()
     lines = generate_synthetic_corpus(spec, 20_000, seed=8)
     counts = {name: 0 for name in smoothed}
     for lang, _ in lines:
