@@ -12,9 +12,9 @@ minutes on a laptop; the published constants stay available by name.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
-from .corpus import CorpusSpec, LanguageSpec
+from .corpus import CorpusSpec
 from .distill import CascadePlan, build_cascade_plan
 from .encoder import PRE_SOFTMAX_SCALED, ModelConfig
 from .errors import InvalidConfigError
@@ -138,10 +138,8 @@ class RunConfig:
         return sizes
 
     def corpus_spec(self) -> CorpusSpec:
-        langs = tuple(LanguageSpec(name=n, size_bytes=s)
-                      for n, s in self.language_sizes().items())
-        return CorpusSpec(
-            languages=langs,
+        return CorpusSpec.from_sizes(
+            self.language_sizes(),
             min_words_per_line=self.corpus.min_words_per_line,
             max_words_per_line=self.corpus.max_words_per_line,
             smoothing_target_ratio=self.corpus.smoothing_target_ratio)
@@ -171,9 +169,7 @@ class RunConfig:
                               seed=seed, dropout=self.finetune.dropout)
 
     def with_seed(self, seed: int) -> "RunConfig":
-        return RunConfig(model=self.model, cascade=self.cascade,
-                         pretrain=self.pretrain, finetune=self.finetune,
-                         corpus=self.corpus, seeds=self.seeds.override_all(seed))
+        return replace(self, seeds=self.seeds.override_all(seed))
 
 
 def default_config() -> RunConfig:

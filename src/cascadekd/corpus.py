@@ -49,7 +49,13 @@ def size_distribution(sizes: Mapping[str, float]) -> dict[str, float]:
             raise NonPositiveSizeError(
                 f"language {name!r} has size {size}; sizes must be finite and > 0")
     total = float(sum(sizes.values()))
-    return {name: size / total for name, size in sizes.items()}
+    shares = {name: size / total for name, size in sizes.items()}
+    for name, share in shares.items():
+        if not 0 < share < math.inf:
+            raise NonPositiveSizeError(
+                f"language {name!r} has share {share} of total size {total}; "
+                "shares must be finite and > 0")
+    return shares
 
 
 def solve_smoothing_exponent(p_a: float, p_b: float, target_ratio: float) -> float:
@@ -123,6 +129,10 @@ class CorpusSpec:
             raise InvalidSpecError("corpus spec needs at least one language")
         if not 1 <= self.min_words_per_line <= self.max_words_per_line:
             raise InvalidSpecError("bad words-per-line range")
+        if not 1 < self.smoothing_target_ratio < math.inf:
+            raise InvalidTargetError(
+                f"smoothing_target_ratio must be finite and > 1, "
+                f"got {self.smoothing_target_ratio}")
         names = [lang.name for lang in self.languages]
         if len(set(names)) != len(names):
             raise InvalidSpecError("duplicate language names")
@@ -264,14 +274,13 @@ SPECIAL_TOKENS = (PAD_TOKEN, UNK_TOKEN, CLS_TOKEN, SEP_TOKEN)
 
 @dataclass(frozen=True)
 class TokenizerVocab:
-    """Whitespace tokenizer vocabulary; unknown tokens map to [UNK]."""
+    """Whitespace tokenizer vocabulary; unknown tokens map to [UNK]. The
+    special tokens always hold ids 0-3, in `SPECIAL_TOKENS` order."""
 
     token_to_id: dict
     vocab_size: int
-    pad_id: int = 0
-    unk_id: int = 1
-    cls_id: int = 2
-    sep_id: int = 3
+
+    pad_id, unk_id, cls_id, sep_id = range(len(SPECIAL_TOKENS))
 
     def __post_init__(self):
         ids = set(self.token_to_id.values())
@@ -279,9 +288,11 @@ class TokenizerVocab:
             raise InvalidConfigError("duplicate token ids")
         if any(not 0 <= i < self.vocab_size for i in ids):
             raise InvalidConfigError("token id outside [0, vocab_size)")
-        special_ids = {self.pad_id, self.unk_id, self.cls_id, self.sep_id}
-        if len(special_ids) != 4:
-            raise InvalidConfigError("special ids must be distinct")
+        for i, tok in enumerate(SPECIAL_TOKENS):
+            if self.token_to_id.get(tok) != i:
+                raise InvalidConfigError(
+                    f"special token {tok} must have id {i}, "
+                    f"found {self.token_to_id.get(tok)}")
 
     @classmethod
     def build(cls, lines: Iterable[str], vocab_size: int,
@@ -327,7 +338,10 @@ class TokenizerVocab:
             raise InvalidConfigError(f"{path}: token_to_id must map tokens to integer ids")
         if type(vocab_size) is not int:
             raise InvalidConfigError(f"{path}: vocab_size must be an integer")
-        return cls(token_to_id=token_to_id, vocab_size=vocab_size)
+        try:
+            return cls(token_to_id=token_to_id, vocab_size=vocab_size)
+        except InvalidConfigError as exc:
+            raise InvalidConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,8 @@ def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterat
                 batch = next(data_stream)
             except StopIteration:
                 raise DataExhaustedError(
-                    f"data stream exhausted at step {step} of {plan.steps}") from None
+                    f"stage {stage_index}: data stream exhausted at step {step} "
+                    f"of {plan.steps}") from None
             teacher_seed = int(rng.integers(2**63))
             student_seed = int(rng.integers(2**63))
             micros = batch.split(plan.optimizer.micro_batch_size)
@@ -332,22 +333,6 @@ class CascadeResult:
     stages: list[StageResult] = field(default_factory=list)
 
 
-class _CountingStream:
-    """Wraps a batch iterator so each stage's consumed slice is on record."""
-
-    def __init__(self, batches: Iterable[Batch]):
-        self._it = iter(batches)
-        self.offset = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> Batch:
-        batch = next(self._it)
-        self.offset += 1
-        return batch
-
-
 def run_cascade(plan: CascadePlan, teacher: EncoderModel, data_stream: Iterable[Batch],
                 seed: int, dropout: bool = True,
                 metrics: Optional[MetricsCallback] = None,
@@ -355,31 +340,27 @@ def run_cascade(plan: CascadePlan, teacher: EncoderModel, data_stream: Iterable[
     """Run every stage of the plan, each student becoming the next teacher.
 
     Stages consume contiguous, pairwise-disjoint slices of the batch
-    stream, in order; `batch_range` on each result records the slice.
+    stream, in order: `run_stage` reads exactly `stage.steps` batches, so
+    `batch_range` on each result is the slice the plan assigns it.
     """
     if teacher.num_layers != plan.start_depth:
         raise DepthMismatchError(
             f"teacher has {teacher.num_layers} layers, plan starts at {plan.start_depth}")
-    stream = _CountingStream(data_stream)
+    stream = iter(data_stream)
     seed_rng = np.random.default_rng(seed)
     result = CascadeResult(final_model=teacher)
-    current = teacher
+    start = 0
     for i, stage in enumerate(plan.stages):
         stage_seed = int(seed_rng.integers(2**63))
-        start_offset = stream.offset
-        try:
-            student, trace = run_stage(stage, current, stream, stage_seed,
-                                       dropout=dropout, stage_index=i, metrics=metrics)
-        except (DataExhaustedError, NonFiniteLossError) as exc:
-            raise type(exc)(f"cascade stage {i} ({stage.teacher_depth}->"
-                            f"{stage.student_depth}): {exc}") from None
+        student, trace = run_stage(stage, result.final_model, stream, stage_seed,
+                                   dropout=dropout, stage_index=i, metrics=metrics)
         stage_result = StageResult(
             stage_index=i, teacher_depth=stage.teacher_depth,
             student_depth=stage.student_depth, model=student, loss_trace=trace,
-            batch_range=(start_offset, stream.offset))
+            batch_range=(start, start + stage.steps))
         if on_stage_done is not None:
             on_stage_done(stage_result)
         result.stages.append(stage_result)
-        current = student
-    result.final_model = current
+        result.final_model = student
+        start += stage.steps
     return result

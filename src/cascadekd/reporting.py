@@ -18,6 +18,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import InconsistentColumnsError, InvalidConfigError
 
 AVG_COLUMN = "AVG"
+AVG_TOLERANCE = 1e-9
 
 
 class MetricsWriter:
@@ -56,35 +57,29 @@ def read_metrics(path) -> list[dict]:
 
 
 def emit_report(rows: Sequence[tuple[str, Mapping[str, float]]],
-                languages: Optional[Sequence[str]] = None,
-                provided_averages: Optional[Mapping[str, float]] = None,
-                tolerance: float = 1e-9) -> str:
+                provided_averages: Optional[Mapping[str, float]] = None) -> str:
     """Render per-language accuracies as an aligned text table.
 
     Each row is `(label, {language: accuracy})`; all rows must cover the
-    same languages. The AVG column is recomputed here; if a caller also
-    supplies averages, any that disagree beyond `tolerance` draw a
-    warning (the recomputed value is printed either way).
+    same languages, and the first row's order fixes the columns. The AVG
+    column is recomputed here; if a caller also supplies averages, any
+    that disagree beyond `AVG_TOLERANCE` draw a warning (the recomputed
+    value is printed either way).
     """
-    if not rows:
-        raise InvalidConfigError("no rows to report")
-    if languages is None:
-        languages = list(rows[0][1].keys())
-    expected = set(languages)
-    if len(expected) != len(list(languages)):
-        raise InconsistentColumnsError("duplicate language columns")
+    if not rows or not rows[0][1]:
+        raise InvalidConfigError("no accuracies to report")
+    languages = list(rows[0][1])
     for label, accs in rows:
-        if set(accs.keys()) != expected:
+        if set(accs) != set(languages):
             raise InconsistentColumnsError(
-                f"row {label!r} covers {sorted(accs.keys())}, "
-                f"expected {sorted(expected)}")
+                f"row {label!r} covers {sorted(accs)}, expected {sorted(languages)}")
 
-    header = ["model"] + list(languages) + [AVG_COLUMN]
+    header = ["model"] + languages + [AVG_COLUMN]
     table = [header]
     for label, accs in rows:
-        average = sum(accs[lang] for lang in languages) / len(list(languages))
+        average = sum(accs[lang] for lang in languages) / len(languages)
         if provided_averages is not None and label in provided_averages:
-            if abs(provided_averages[label] - average) > tolerance:
+            if abs(provided_averages[label] - average) > AVG_TOLERANCE:
                 warnings.warn(
                     f"provided AVG {provided_averages[label]:.6f} for "
                     f"{label!r} differs from recomputed {average:.6f}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -101,64 +101,41 @@ def lr_at(schedule: ScheduleConfig, peak_lr: float, step: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    """First/second moment estimates keyed by parameter name."""
-
-    step_count: int = 0
-    m: Dict[str, np.ndarray] = field(default_factory=dict)
-    v: Dict[str, np.ndarray] = field(default_factory=dict)
-
-    @classmethod
-    def for_params(cls, params: Sequence[Tuple[str, Tensor]]) -> "AdamState":
-        state = cls()
-        for name, p in params:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        return state
-
-
-def adam_step(params: Sequence[Tuple[str, Tensor]],
-              grads: Sequence[np.ndarray],
-              state: AdamState, lr: float, config: OptimizerConfig) -> None:
-    """One bias-corrected Adam update, in place.
-
-    With both betas zero this reduces to p -= lr * g / (|g| + eps).
-    """
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - config.beta1 ** t
-    bc2 = 1.0 - config.beta2 ** t
-    for (name, p), g in zip(params, grads):
-        if g.shape != p.data.shape:
-            raise ShapeMismatchError(
-                f"gradient shape {g.shape} != parameter {name!r} shape {p.data.shape}")
-        if config.weight_decay != 0.0:
-            g = g + config.weight_decay * p.data
-        m = state.m[name]
-        v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
-
-
 class Adam:
-    """Stateful wrapper binding named parameters to an AdamState."""
+    """Bias-corrected Adam over named parameters. It keeps `step_count` and
+    the moments `m` and `v`, keyed by parameter name. `step(lr)` updates each
+    parameter in place from its `grad`, taken as zero where no gradient
+    flowed; with both betas zero that is p -= lr * g / (|g| + eps)."""
 
     def __init__(self, params: Sequence[Tuple[str, Tensor]], config: OptimizerConfig):
-        names = [name for name, _ in params]
-        if len(set(names)) != len(names):
-            raise InvalidConfigError("duplicate parameter names")
         self.params = list(params)
         self.config = config
-        self.state = AdamState.for_params(self.params)
+        self.step_count = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
+        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        if len(self.m) != len(self.params):
+            raise InvalidConfigError("duplicate parameter names")
 
     def step(self, lr: float) -> None:
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                 for _, p in self.params]
-        adam_step(self.params, grads, self.state, lr, self.config)
+        config = self.config
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - config.beta1 ** t
+        bc2 = 1.0 - config.beta2 ** t
+        for name, p in self.params:
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if g.shape != p.data.shape:
+                raise ShapeMismatchError(
+                    f"gradient shape {g.shape} != parameter {name!r} shape {p.data.shape}")
+            if config.weight_decay != 0.0:
+                g = g + config.weight_decay * p.data
+            m = self.m[name]
+            v = self.v[name]
+            m *= config.beta1
+            m += (1.0 - config.beta1) * g
+            v *= config.beta2
+            v += (1.0 - config.beta2) * (g * g)
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
 
     def zero_grad(self) -> None:
         for _, p in self.params:

@@ -319,7 +319,7 @@ def test_seed_override_changes_corpus(pipeline, tmp_path):
 
 @pytest.mark.parametrize("languages", [
     "en:nan,es:65536", "en:inf,es:65536", "en:0,es:65536", "en:-1,es:65536",
-    "en:1048576,en:1024,es:65536"])
+    "en:1048576,en:1024,es:65536", "en:1e308,es:1e308"])
 def test_gen_corpus_rejects_a_bad_language_list(tmp_path, capsys, languages):
     ini = tmp_path / "run.ini"
     ini.write_text(f"[corpus]\nlanguages = {languages}\n")
@@ -334,7 +334,14 @@ def test_gen_corpus_rejects_a_bad_language_list(tmp_path, capsys, languages):
     ("pretrain", "peak_lr", "-1"),
     ("finetune", "epochs", "-1"),
     ("finetune", "num_classes", "1"),
-    ("cascade", "steps_per_stage", "0")])
+    ("cascade", "steps_per_stage", "0"),
+    ("corpus", "smoothing_target_ratio", "-1"),
+    ("corpus", "smoothing_target_ratio", "0.5"),
+    ("corpus", "smoothing_target_ratio", "1"),
+    ("corpus", "smoothing_target_ratio", "nan"),
+    # equal sizes need no exponent, but the ratio is still checked
+    pytest.param("corpus", "smoothing_target_ratio", "-1\nlanguages = en:1024,es:1024",
+                 id="corpus-smoothing_target_ratio--1-equal-sizes")])
 def test_a_bad_section_value_fails_when_the_config_is_parsed(tmp_path, capsys,
                                                              section, key, value):
     ini = tmp_path / "bad.ini"
@@ -343,6 +350,21 @@ def test_a_bad_section_value_fails_when_the_config_is_parsed(tmp_path, capsys,
     assert main(["init-config", "--config", str(ini), "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("token_to_id", [
+    {"[CLS]": 5, "[PAD]": 6, "[SEP]": 7, "[UNK]": 4, "bar": 1, "baz": 2, "foo": 0, "qux": 3},
+    {"bar": 1, "baz": 2, "foo": 0, "qux": 3}],
+    ids=["specials-moved", "specials-missing"])
+def test_a_vocabulary_without_the_special_ids_is_rejected(tmp_path, capsys, token_to_id):
+    # Encoding writes [PAD], [UNK], [CLS] and [SEP] as ids 0-3, so a file
+    # that maps them elsewhere would encode every line wrongly.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    vocab = corpus / "vocab.json"
+    vocab.write_text(json.dumps({"vocab_size": 8, "token_to_id": token_to_id}))
+    assert main(["cascade", "--corpus", str(corpus), "--out", str(tmp_path / "run")]) == 1
+    assert str(vocab) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("payload", [

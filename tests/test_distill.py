@@ -436,6 +436,18 @@ def test_run_cascade_chains_and_slices():
                     seed=0)
 
 
+def test_run_cascade_errors_carry_one_stage_prefix():
+    # `run_stage` names the stage itself; the cascade adds no second prefix.
+    rng = np.random.default_rng(23)
+    teacher = init_random(toy_config(num_layers=3), seed=24)
+    plan = build_cascade_plan(3, 1, optimizer_config(), steps_per_stage=3,
+                              warmup_steps=1)
+    with pytest.raises(DataExhaustedError,
+                       match=r"^stage 1: data stream exhausted at step \d+ of \d+$"):
+        run_cascade(plan, teacher, iter(random_batches(rng, 4)), seed=25,
+                    dropout=False)
+
+
 # ---------------------------------------------------------------------------
 # the pipelined teacher
 # ---------------------------------------------------------------------------

@@ -23,13 +23,11 @@ from cascadekd.tensor import Tensor, gather_rows, is_grad_enabled, mse
 from cascadekd.training import (
     PREDICT_SLICE,
     Adam,
-    AdamState,
     FineTuneConfig,
     OptimizerConfig,
     ScheduleConfig,
     accumulate_and_step,
     accuracy,
-    adam_step,
     fine_tune,
     lr_at,
     predict,
@@ -118,8 +116,8 @@ def test_adam_first_step_value():
     # with bias correction the first update is exactly lr*g/(|g|+eps)
     p = Tensor(np.array([1.0]), requires_grad=True)
     config = OptimizerConfig(peak_lr=0.1, epsilon=1e-9, batch_size=1)
-    state = AdamState.for_params([("p", p)])
-    adam_step([("p", p)], [np.array([2.0])], state, 0.1, config)
+    p.grad = np.array([2.0])
+    Adam([("p", p)], config).step(0.1)
     expected = 1.0 - 0.1 * 2.0 / (2.0 + 1e-9)
     assert np.isclose(p.data[0], expected, rtol=1e-15)
 
@@ -128,11 +126,12 @@ def test_adam_zero_betas_is_normalized_sgd():
     config = OptimizerConfig(peak_lr=0.01, beta1=0.0, beta2=0.0,
                              epsilon=1e-9, batch_size=1)
     p = Tensor(np.array([0.5, -0.5]), requires_grad=True)
-    state = AdamState.for_params([("p", p)])
+    opt = Adam([("p", p)], config)
     for g in ([1.0, -4.0], [0.25, 0.25], [-9.0, 1.0]):
         before = p.data.copy()
         grad = np.array(g)
-        adam_step([("p", p)], [grad], state, 0.01, config)
+        p.grad = grad
+        opt.step(0.01)
         step = before - p.data
         assert np.allclose(step, 0.01 * grad / (np.abs(grad) + 1e-9))
 
@@ -153,9 +152,10 @@ def test_adam_matches_functional_replay():
         start = rng.normal(size=(3, 2))
         grads = [rng.normal(size=(3, 2)) for _ in range(20)]
         p = Tensor(start.copy(), requires_grad=True)
-        state = AdamState.for_params([("p", p)])
+        opt = Adam([("p", p)], config)
         for g in grads:
-            adam_step([("p", p)], [g], state, 0.03, config)
+            p.grad = g
+            opt.step(0.03)
         want = reference_adam(start, grads, 0.03, config.beta1, config.beta2,
                               config.epsilon, weight_decay=wd)
         assert np.allclose(p.data, want, rtol=1e-12, atol=0)
@@ -164,9 +164,9 @@ def test_adam_matches_functional_replay():
 def test_adam_shape_check_and_duplicate_names():
     config = OptimizerConfig(peak_lr=0.1, batch_size=1)
     p = Tensor(np.zeros((2, 2)), requires_grad=True)
-    state = AdamState.for_params([("p", p)])
+    p.grad = np.zeros(3)
     with pytest.raises(ShapeMismatchError):
-        adam_step([("p", p)], [np.zeros(3)], state, 0.1, config)
+        Adam([("p", p)], config).step(0.1)
     with pytest.raises(InvalidConfigError):
         Adam([("p", p), ("p", p)], config)
 
