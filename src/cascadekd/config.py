@@ -15,15 +15,20 @@ import configparser
 from dataclasses import dataclass, fields, replace
 
 from .corpus import CorpusSpec
-from .distill import CascadePlan, build_cascade_plan
+from .distill import (
+    DEFAULT_STAGE_STEPS,
+    DEFAULT_WARMUP_STEPS,
+    CascadePlan,
+    build_cascade_plan,
+)
 from .encoder import PRE_SOFTMAX_SCALED, ModelConfig
 from .errors import InvalidConfigError
 from .training import FineTuneConfig, OptimizerConfig
 
 # Published training constants (Adam betas are the usual 0.9 / 0.999 and
 # weight decay is zero at both phases).
-PRETRAIN_STEPS_PER_STAGE = 66_666
-PRETRAIN_WARMUP_STEPS = 6_666
+PRETRAIN_STEPS_PER_STAGE = DEFAULT_STAGE_STEPS
+PRETRAIN_WARMUP_STEPS = DEFAULT_WARMUP_STEPS
 PRETRAIN_BATCH_SIZE = 256
 PRETRAIN_PEAK_LR = 1e-7
 PRETRAIN_EPSILON = 1e-9

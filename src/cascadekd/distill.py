@@ -19,14 +19,14 @@ the attention losses; divisors count only included elements.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .corpus import Batch
-from .encoder import EncoderModel, ForwardTrace
+from .encoder import EncoderModel, ForwardTrace, ModelConfig
 from .errors import (
     DataExhaustedError,
     DepthMismatchError,
@@ -151,7 +151,9 @@ def total_distill_loss(teacher: ForwardTrace, student: ForwardTrace) -> Tensor:
 # stage and cascade plans
 # ---------------------------------------------------------------------------
 
+# The published operating point: steps per stage and their warmup.
 DEFAULT_STAGE_STEPS = 66_666
+DEFAULT_WARMUP_STEPS = 6_666
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ class DistillStagePlan:
     student_depth: int
     optimizer: OptimizerConfig
     steps: int = DEFAULT_STAGE_STEPS
-    warmup_steps: int = 6_666
+    warmup_steps: int = DEFAULT_WARMUP_STEPS
 
     def __post_init__(self):
         LayerMapSpec(student_depth=self.student_depth, teacher_depth=self.teacher_depth)
@@ -205,7 +207,7 @@ class CascadePlan:
 
 def build_cascade_plan(start_depth: int, end_depth: int, optimizer: OptimizerConfig,
                        steps_per_stage: int = DEFAULT_STAGE_STEPS,
-                       warmup_steps: int = 6_666,
+                       warmup_steps: int = DEFAULT_WARMUP_STEPS,
                        first_stage_full_warmup: bool = True) -> CascadePlan:
     """Plan the chain start_depth -> start_depth-1 -> ... -> end_depth.
 
@@ -229,6 +231,33 @@ def build_cascade_plan(start_depth: int, end_depth: int, optimizer: OptimizerCon
 
 MetricsCallback = Callable[[dict], None]
 
+# A teacher forward of fewer matmul FLOPs than this per micro-batch runs on
+# the calling thread: below it, two threads trading the GIL cost more than
+# the worker's overlap gains. Measured crossover on a 2-core host with one
+# BLAS thread: the worker took 1.23x the step time at 28 MFLOP and 0.95x
+# at 36 MFLOP.
+_WORKER_MIN_TEACHER_FLOPS = 32_000_000
+
+
+def _teacher_on_worker(plan: DistillStagePlan, teacher: ModelConfig) -> bool:
+    """Whether `run_stage` runs a teacher of this config on a worker thread:
+    decided from the matmul FLOPs of its forward on a full micro-batch."""
+    flops = teacher.forward_matmul_flops(plan.optimizer.micro_batch_size, teacher.max_seq_len)
+    return flops >= _WORKER_MIN_TEACHER_FLOPS
+
+
+class _CallingThread(Executor):
+    """Runs each submitted call at once on the calling thread; an error is
+    kept in the future and raised when its result is read, as a worker's is."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
 
 def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterator[Batch],
               seed: int, dropout: bool = True, stage_index: int = 0,
@@ -239,12 +268,16 @@ def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterat
     optimizer steps minimizing the total distillation loss; the teacher is
     never modified. Returns the student and the per-step loss trace.
 
-    The teacher's no-grad forward runs on one worker thread, one
-    micro-batch ahead of the student's forward and backward passes on the
-    calling thread, across step boundaries (micro-batch pipelining as in
-    GPipe). Results are bit-identical to running the two in turn:
+    The teacher's no-grad forward is submitted one micro-batch ahead of
+    the student's forward and backward passes, across step boundaries
+    (micro-batch pipelining as in GPipe). It runs on one worker thread
+    when its matmul FLOPs on a full micro-batch reach
+    `_WORKER_MIN_TEACHER_FLOPS`, so a second core does the teacher's
+    work; a smaller teacher runs on the calling thread at the point of
+    submission, and no thread is started. The choice depends on shapes
+    only. Either way results are bit-identical to running the two in turn:
     - each step's batch is pulled, and its (teacher, student) dropout
-      seeds drawn, when its first micro-batch goes to the worker, so the
+      seeds drawn, when its first micro-batch is submitted, so the
       stream is read exactly `plan.steps` times;
     - a stream that runs out fails at the step that lacked a batch, after
       every earlier step has finished and reported its metrics;
@@ -265,7 +298,9 @@ def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterat
                                    training_mode=dropout, dropout_seed=teacher_seed)
 
     loss_trace: list[float] = []
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    executor = ThreadPoolExecutor(max_workers=1) if _teacher_on_worker(plan, teacher.config) \
+        else _CallingThread()
+    with executor as worker:
         def begin(step: int):
             """Pull the step's batch, draw its seeds and submit the teacher
             forward of its first micro-batch."""

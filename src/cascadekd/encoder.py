@@ -15,18 +15,25 @@ V, the output projection, the pooler and the classifier output. The
 softmax between scores and context is its own node, since the attention
 record may be captured on either side of it.
 
+Every pass computes only the columns its batch uses: trailing positions
+that every row masks are cut from the input before the embedding, so a
+batch of short lines padded to `max_seq_len` costs what its longest line
+does. Those positions are keys no query attends to and rows no loss
+reads, so the cut changes values only through shorter sums over keys.
+
 A `classify` pass reads only the first-token ([CLS]) position of the top
 hidden output, so the top layer runs for query row 0 alone: its query
 map, scores, softmax, attention output and everything after it are
 computed at [CLS] only, while the K and V maps still cover every
-position. `forward`, and with it distillation, computes every
-position of every layer.
+computed column. `forward`, and with it distillation, computes all of
+them in every layer. Dropout masks are drawn at the input's full shape
+either way, so a kept position gets the mask value of the full pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -89,6 +96,14 @@ class ModelConfig:
     def head_dim(self) -> int:
         return self.hidden_dim // self.num_heads
 
+    def forward_matmul_flops(self, batch: int, seq: int) -> int:
+        """Matmul FLOPs (2 per multiply-add) of a full forward pass on a
+        (batch, seq) input: the Q, K, V and output maps, the scores, the
+        context and both feed-forward maps of every layer."""
+        d, f = self.hidden_dim, self.ffn_dim
+        return self.num_layers * (8 * batch * seq * d * d + 4 * batch * seq * seq * d
+                                  + 4 * batch * seq * d * f)
+
     def with_layers(self, num_layers: int) -> "ModelConfig":
         return ModelConfig(**{**self.__dict__, "num_layers": num_layers})
 
@@ -150,7 +165,8 @@ class EncoderLayer:
 class ForwardTrace:
     """Everything a forward pass exposes: hidden outputs 1..n+1 of shape
     (batch, T, d), attention records 1..n of shape (batch, heads, T, T),
-    and the attention mask they were computed under."""
+    and the attention mask they were computed under. T counts the computed
+    columns: the input's, less the trailing ones that every row masks."""
 
     hidden: list[Tensor]
     attentions: list[Tensor]
@@ -213,20 +229,20 @@ class EncoderModel:
         reproducibly for a given `dropout_seed`; otherwise the pass is
         deterministic.
         """
-        x, mask, rng, dropping = self._embed(token_ids, attention_mask,
-                                             training_mode, dropout_seed)
+        x, mask, drop = self._embed(token_ids, attention_mask, training_mode, dropout_seed)
         hidden = [x]
         attentions = []
         for layer in self.layers:
-            x, attn = self._layer_forward(layer, x, mask, rng, dropping)
+            x, attn = self._layer_forward(layer, x, mask, drop)
             hidden.append(x)
             attentions.append(attn)
         return ForwardTrace(hidden=hidden, attentions=attentions,
                             attention_mask=mask, capture_mode=self.config.attention_capture)
 
     def _embed(self, token_ids, attention_mask, training_mode: bool, dropout_seed: int):
-        """Check the inputs and compute the embedding output; returns it with
-        the boolean mask, the dropout generator and whether dropout is on."""
+        """Check the inputs and compute the embedding output at the columns
+        the batch uses; returns it with the boolean mask of those columns
+        and the pass's dropout function."""
         token_ids = np.asarray(token_ids, dtype=np.int64)
         mask = np.asarray(attention_mask, dtype=bool)
         if token_ids.ndim != 2:
@@ -234,29 +250,29 @@ class EncoderModel:
         if mask.shape != token_ids.shape:
             raise DimensionMismatchError(
                 f"attention_mask shape {mask.shape} != token_ids shape {token_ids.shape}")
-        seq_len = token_ids.shape[1]
+        batch, seq_len = token_ids.shape
         if seq_len > self.config.max_seq_len:
             raise SequenceTooLongError(
                 f"sequence length {seq_len} exceeds max {self.config.max_seq_len}")
         if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= self.config.vocab_size):
             raise TokenOutOfRangeError("token id outside [0, vocab_size)")
 
-        rng = np.random.default_rng(dropout_seed)
-        dropping = training_mode and self.config.dropout_rate > 0.0
+        width = _computed_width(mask)
+        token_ids, mask = token_ids[:, :width], mask[:, :width]
+        drop = _dropout(self.config.dropout_rate if training_mode else 0.0, dropout_seed,
+                        (batch, seq_len, self.config.hidden_dim))
 
-        x = gather_rows(self.token_embeddings, token_ids) \
-            + self.position_embeddings[:seq_len]
+        x = gather_rows(self.token_embeddings, token_ids) + self.position_embeddings[:width]
         x = layer_norm(x, self.emb_ln_gain, self.emb_ln_bias, LAYER_NORM_EPS)
-        return _dropout(x, self.config.dropout_rate, rng, dropping), mask, rng, dropping
+        return drop(x), mask, drop
 
     def _layer_forward(self, layer: EncoderLayer, x: Tensor, mask: np.ndarray,
-                       rng, dropping: bool, rows: slice = _ALL_ROWS) -> tuple[Tensor, Tensor]:
+                       drop: Callable[[Tensor], Tensor],
+                       rows: slice = _ALL_ROWS) -> tuple[Tensor, Tensor]:
         """One layer on a (B, T, d) input, computed at the query positions
         `rows` only, so the output is (B, len(rows), d); keys and values
-        still come from every position, and dropout draws its masks at full
-        size and keeps those rows."""
+        still come from every position."""
         cfg = self.config
-        full_shape = x.shape
         scores = attention_scores(x, layer.wq, layer.bq, layer.wk, layer.bk, cfg.num_heads,
                                   rows=rows)
         probs = softmax_rows(scores, mask=mask[:, None, None, :])
@@ -265,26 +281,38 @@ class EncoderModel:
         context = attention_context(probs, linear(x, layer.wv, layer.bv), cfg.num_heads)
         if rows != _ALL_ROWS:
             x = x[:, rows]  # the residual's rows
-        attn_out = linear(context, layer.wo, layer.bo)
-        attn_out = _dropout(attn_out, cfg.dropout_rate, rng, dropping, full_shape, rows)
+        attn_out = drop(linear(context, layer.wo, layer.bo))
         x = layer_norm(x + attn_out, layer.ln_attn_gain, layer.ln_attn_bias, LAYER_NORM_EPS)
 
-        ffn = feed_forward(x, layer.w_ffn_in, layer.b_ffn_in, layer.w_ffn_out, layer.b_ffn_out)
-        ffn = _dropout(ffn, cfg.dropout_rate, rng, dropping, full_shape, rows)
+        ffn = drop(feed_forward(x, layer.w_ffn_in, layer.b_ffn_in,
+                                layer.w_ffn_out, layer.b_ffn_out))
         x = layer_norm(x + ffn, layer.ln_ffn_gain, layer.ln_ffn_bias, LAYER_NORM_EPS)
         return x, captured
 
 
-def _dropout(x: Tensor, rate: float, rng, dropping: bool,
-             full_shape: Optional[tuple] = None, rows: slice = _ALL_ROWS) -> Tensor:
-    """Inverted dropout. The mask is drawn at `full_shape` (default: x's)
-    and its positions `rows` kept, so a pass restricted to some rows uses
-    the mask values, and leaves `rng` in the state, of the full pass."""
-    if not dropping:
-        return x
-    keep = (rng.random(full_shape or x.shape) >= rate) / (1.0 - rate)
-    # A copy of the kept rows only, so the graph does not hold the full mask.
-    return x * Tensor(np.ascontiguousarray(keep[:, rows]))
+def _computed_width(mask: np.ndarray) -> int:
+    """Columns a pass computes for a (B, T) mask: up to the last one that
+    any row keeps, and at least one (of T > 0), so an all-masked row still
+    fails and an empty batch still runs."""
+    used = np.flatnonzero(mask.any(axis=0))
+    return min(mask.shape[1], int(used[-1]) + 1 if used.size else 1)
+
+
+def _dropout(rate: float, seed: int, full_shape: tuple) -> Callable[[Tensor], Tensor]:
+    """One pass's inverted dropout. Each call draws its mask at the input's
+    `full_shape` (B, T, d) and keeps the leading positions of the tensor it
+    is given, so a pass computing fewer positions (cut padding columns, or
+    [CLS] alone) uses the mask values, and leaves the generator in the
+    state, of the full pass."""
+    if rate == 0.0:
+        return lambda x: x
+    rng = np.random.default_rng(seed)
+
+    def drop(x: Tensor) -> Tensor:
+        keep = (rng.random(full_shape) >= rate) / (1.0 - rate)
+        # A copy of the kept positions only, so the graph does not hold the full mask.
+        return x * Tensor(np.ascontiguousarray(keep[:, :x.shape[1]]))
+    return drop
 
 
 def init_random(config: ModelConfig, seed: int, embeddings_frozen: bool = True) -> EncoderModel:
@@ -334,10 +362,9 @@ def classify(model: EncoderModel, head: ClassifierHead, token_ids, attention_mas
     if head.hidden_dim != model.config.hidden_dim:
         raise DimensionMismatchError(
             f"head dim {head.hidden_dim} != model hidden dim {model.config.hidden_dim}")
-    x, mask, rng, dropping = model._embed(token_ids, attention_mask,
-                                          training_mode, dropout_seed)
+    x, mask, drop = model._embed(token_ids, attention_mask, training_mode, dropout_seed)
     for i, layer in enumerate(model.layers):
         rows = _CLS_ROW if i == model.num_layers - 1 else _ALL_ROWS
-        x, _ = model._layer_forward(layer, x, mask, rng, dropping, rows)
+        x, _ = model._layer_forward(layer, x, mask, drop, rows)
     pooled = linear(x[:, 0, :], head.pooler_w, head.pooler_b).tanh()
     return linear(pooled, head.out_w, head.out_b)

@@ -3,11 +3,16 @@ losses against hand values and an explicit-loop reference, stage and
 cascade execution, and the pipelined teacher's contract."""
 
 import itertools
+import math
 import sys
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from cascadekd import distill
+from cascadekd.config import default_config
 from cascadekd.corpus import Batch
 from cascadekd.distill import (
     CascadePlan,
@@ -382,16 +387,18 @@ def test_run_stage_basics():
 def test_run_stage_exhausted_stream():
     # Every step that had a batch finishes and reports before the error,
     # which names the first step without one.
-    rng = np.random.default_rng(8)
     teacher = init_random(toy_config(num_layers=2), seed=9)
     plan = DistillStagePlan(teacher_depth=2, student_depth=1,
                             optimizer=optimizer_config(micro_batch_size=2), steps=5,
                             warmup_steps=2)
-    records = []
-    with pytest.raises(DataExhaustedError, match="at step 3 of 5"):
-        run_stage(plan, teacher, iter(random_batches(rng, 3)), seed=0,
-                  dropout=False, metrics=records.append)
-    assert [r["step"] for r in records] == [0, 1, 2]
+    for path in TEACHER_PATHS:
+        rng = np.random.default_rng(8)
+        records = []
+        with teacher_path(path):
+            with pytest.raises(DataExhaustedError, match="at step 3 of 5"):
+                run_stage(plan, teacher, iter(random_batches(rng, 3)), seed=0,
+                          dropout=False, metrics=records.append)
+        assert [r["step"] for r in records] == [0, 1, 2]
 
 
 def test_run_stage_depth_check():
@@ -452,6 +459,29 @@ def test_run_cascade_errors_carry_one_stage_prefix():
 # the pipelined teacher
 # ---------------------------------------------------------------------------
 
+TEACHER_PATHS = ("calling_thread", "worker")
+
+
+@contextmanager
+def teacher_path(path):
+    """Forces `run_stage` to run the teacher on the calling thread or on its
+    worker, and checks on leaving that some forward ran off the main
+    thread exactly when the worker was forced."""
+    on_worker = path == "worker"
+    on_main = set()
+    forward = EncoderModel.forward
+
+    def recording_forward(self, *args, **kwargs):
+        on_main.add(threading.current_thread() is threading.main_thread())
+        return forward(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distill, "_WORKER_MIN_TEACHER_FLOPS", 0 if on_worker else math.inf)
+        patch.setattr(EncoderModel, "forward", recording_forward)
+        yield
+    assert (False in on_main) == on_worker, path
+
+
 def sequential_stage(plan, teacher, batches, seed):
     """`run_stage` as a plain loop: each micro-batch's teacher forward runs
     just before its student forward, on the calling thread."""
@@ -482,19 +512,22 @@ def test_pipelined_stage_equals_sequential_loop():
     plan = DistillStagePlan(teacher_depth=3, student_depth=2,
                             optimizer=optimizer_config(batch_size=6, micro_batch_size=2),
                             steps=4, warmup_steps=2)
-    runs = []
+
+    def batches():
+        return iter(random_batches(np.random.default_rng(17), 4, batch=6))
+
+    plain, plain_losses = sequential_stage(plan, teacher, batches(), seed=18)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the two threads as finely as possible
     try:
-        for stage in (run_stage, sequential_stage):
-            rng = np.random.default_rng(17)
-            runs.append(stage(plan, teacher, iter(random_batches(rng, 4, batch=6)), seed=18))
+        for path in TEACHER_PATHS:
+            with teacher_path(path):
+                piped, piped_losses = run_stage(plan, teacher, batches(), seed=18)
+            assert piped_losses == plain_losses, path
+            for (name, a), (_, b) in zip(piped.parameters(), plain.parameters()):
+                assert np.array_equal(a.data, b.data), (path, name)
     finally:
         sys.setswitchinterval(interval)
-    (piped, piped_losses), (plain, plain_losses) = runs
-    assert piped_losses == plain_losses
-    for (name, a), (_, b) in zip(piped.parameters(), plain.parameters()):
-        assert np.array_equal(a.data, b.data), name
 
 
 class CountingStream:
@@ -514,12 +547,13 @@ class CountingStream:
 def test_run_stage_pulls_exactly_its_steps_from_the_stream():
     rng = np.random.default_rng(19)
     teacher = init_random(toy_config(num_layers=2), seed=20)
-    for micro in (1, 2, 4):
+    for path, micro in itertools.product(TEACHER_PATHS, (1, 2, 4)):
         plan = DistillStagePlan(teacher_depth=2, student_depth=1,
                                 optimizer=optimizer_config(micro_batch_size=micro),
                                 steps=3, warmup_steps=1)
         stream = CountingStream(itertools.cycle(random_batches(rng, 2)))
-        run_stage(plan, teacher, stream, seed=0)
+        with teacher_path(path):
+            run_stage(plan, teacher, stream, seed=0)
         assert stream.pulled == plan.steps
 
 
@@ -543,15 +577,42 @@ class FailingForward:
 ])
 def test_teacher_error_surfaces_at_its_micro_batch_step(error, message):
     # Two micro-batches per step: the fifth teacher call is step 2's first
-    # micro-batch, which the worker runs while the student is on step 1.
-    rng = np.random.default_rng(21)
-    teacher = init_random(toy_config(num_layers=2), seed=22)
-    teacher.forward = FailingForward(teacher.forward, fail_at=5, error=error)
+    # micro-batch, submitted while the student is on step 1.
     plan = DistillStagePlan(teacher_depth=2, student_depth=1,
                             optimizer=optimizer_config(micro_batch_size=2), steps=4,
                             warmup_steps=1)
-    records = []
-    with pytest.raises(type(error), match=message):
-        run_stage(plan, teacher, iter(random_batches(rng, 4)), seed=0, stage_index=4,
-                  metrics=records.append)
-    assert [r["step"] for r in records] == [0, 1]
+    for path in TEACHER_PATHS:
+        rng = np.random.default_rng(21)
+        teacher = init_random(toy_config(num_layers=2), seed=22)
+        records = []
+        with teacher_path(path):
+            teacher.forward = FailingForward(teacher.forward, fail_at=5, error=error)
+            with pytest.raises(type(error), match=message):
+                run_stage(plan, teacher, iter(random_batches(rng, 4)), seed=0, stage_index=4,
+                          metrics=records.append)
+        assert [r["step"] for r in records] == [0, 1], path
+
+
+def test_the_teacher_runs_on_the_worker_only_past_the_flop_rule(monkeypatch):
+    desk = default_config()
+    (plan, *_) = desk.cascade_plan().stages
+    assert not distill._teacher_on_worker(plan, desk.model)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    teacher = init_random(desk.model, seed=26)
+    rng = np.random.default_rng(27)
+    short = DistillStagePlan(teacher_depth=plan.teacher_depth, student_depth=plan.student_depth,
+                             optimizer=plan.optimizer, steps=2, warmup_steps=1)
+    run_stage(short, teacher, iter(random_batches(
+        rng, 2, batch=plan.optimizer.batch_size, seq=desk.model.max_seq_len,
+        vocab=desk.model.vocab_size)), seed=0)
+    assert started == []
+    # The benchmark's mid-scale stage: a 3 -> 2 shrink at d=256, T=128.
+    mid = ModelConfig(vocab_size=256, hidden_dim=256, num_layers=3, num_heads=4,
+                      ffn_dim=1024, max_seq_len=128)
+    mid_plan = DistillStagePlan(teacher_depth=3, student_depth=2, steps=4,
+                                optimizer=OptimizerConfig(peak_lr=3e-3, batch_size=16,
+                                                          micro_batch_size=8))
+    assert distill._teacher_on_worker(mid_plan, mid)

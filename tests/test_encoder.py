@@ -14,6 +14,7 @@ from cascadekd.encoder import (
     init_random,
 )
 from cascadekd.errors import (
+    AllMaskedError,
     DimensionMismatchError,
     InvalidConfigError,
     SequenceTooLongError,
@@ -117,12 +118,14 @@ def test_capture_modes():
 def test_zero_weights_give_uniform_attention():
     config = toy_config(attention_capture=POST_SOFTMAX)
     model = EncoderModel(config, seed=None)  # all weights zero
-    ids = np.array([[1, 2, 3, 4]])
-    mask = np.array([[True, True, True, False]])
+    # The second row uses the last position, so it is computed for both.
+    ids = np.array([[1, 2, 3, 4], [5, 6, 7, 8]])
+    mask = np.array([[True, True, True, False], [True, True, True, True]])
     trace = model.forward(ids, mask)
     probs = trace.attentions[0].data
     assert np.allclose(probs[0, :, :, :3], 1.0 / 3.0)
     assert np.all(probs[0, :, :, 3] == 0.0)
+    assert np.allclose(probs[1], 1.0 / 4.0)
 
 
 def test_padding_content_cannot_leak():
@@ -142,6 +145,18 @@ def test_padding_content_cannot_leak():
         block1 = a1.data[0][:, real][:, :, real]
         block2 = a2.data[0][:, real][:, :, real]
         assert np.array_equal(block1, block2)
+
+
+def test_an_all_masked_row_still_fails_after_the_padding_cut():
+    # Cutting the trailing all-padding columns keeps at least one column.
+    model = init_random(toy_config(), seed=0)
+    head = ClassifierHead(8, num_classes=3, seed=1)
+    ids = np.ones((2, 4), dtype=np.int64)
+    for mask in (np.array([[True, True, False, False], [False] * 4]), np.zeros((2, 4), bool)):
+        with pytest.raises(AllMaskedError):
+            model.forward(ids, mask)
+        with pytest.raises(AllMaskedError):
+            classify(model, head, ids, mask)
 
 
 def test_forward_validation():
@@ -250,10 +265,11 @@ def test_classify_gradients_match_finite_differences():
 def test_classifier_head_and_classify():
     model = init_random(toy_config(), seed=8)
     head = ClassifierHead(8, num_classes=3, seed=1)
-    ids = np.array([[1, 2, 3, 0]])
-    mask = np.array([[True, True, True, False]])
+    # The second row uses the last position, so every column is computed.
+    ids = np.array([[1, 2, 3, 0], [4, 5, 6, 7]])
+    mask = np.array([[True, True, True, False], [True, True, True, True]])
     logits = classify(model, head, ids, mask)
-    assert logits.shape == (1, 3)
+    assert logits.shape == (2, 3)
     # The graph holds full (B, H, T, T) scores below the top layer only,
     # which forms its scores at [CLS] alone.
     score_shapes, seen, stack = [], set(), [logits]
@@ -265,7 +281,7 @@ def test_classifier_head_and_classify():
         if isinstance(t._ctx, AttentionScores):
             score_shapes.append(t.shape)
         stack.extend(t._ctx.parents)
-    assert sorted(score_shapes) == [(1, 2, 1, 4), (1, 2, 4, 4)]
+    assert sorted(score_shapes) == [(2, 2, 1, 4), (2, 2, 4, 4)]
     with pytest.raises(InvalidConfigError):
         ClassifierHead(8, num_classes=1)
     wrong = ClassifierHead(16, num_classes=3, seed=1)

@@ -3,16 +3,17 @@ agreement of tape ops, checked over random shapes and masks."""
 
 import inspect
 import operator
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cascadekd import tensor
+from cascadekd import encoder, tensor
 from cascadekd.checkpoint import WEIGHTS_NAME, load_checkpoint, save_checkpoint
 from cascadekd.corpus import Batch
-from cascadekd.distill import total_distill_loss
+from cascadekd.distill import top_layer_init, total_distill_loss
 from cascadekd.encoder import (
     CAPTURE_MODES,
     PRE_SOFTMAX_SCALED,
@@ -460,6 +461,87 @@ def test_predict_in_slices_equals_one_pass_argmax(scorer, size, seed):
     with no_grad():
         logits = classify(model, head, batch.token_ids, batch.attention_mask)
     assert np.array_equal(predict(model, head, batch), np.argmax(logits.data, axis=1))
+
+
+# ---------------------------------------------------------------------------
+# trailing padding columns
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def every_column():
+    """Passes that compute every column of their input, padding included."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encoder, "_computed_width", lambda mask: mask.shape[1])
+        yield
+
+
+@st.composite
+def trailing_padding_case(draw, capture):
+    """A teacher with large weights, its top-cut student, a head, and a
+    padded batch with 1-3 trailing all-padding columns of random ids."""
+    heads = draw(st.integers(1, 2))
+    config = ModelConfig(vocab_size=9, hidden_dim=heads * draw(st.integers(1, 3)),
+                         num_layers=draw(st.integers(2, 3)), num_heads=heads,
+                         ffn_dim=draw(st.integers(1, 6)), max_seq_len=8,
+                         dropout_rate=0.3, attention_capture=capture)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    teacher = init_random(config, seed=0, embeddings_frozen=draw(st.booleans()))
+    head = ClassifierHead(config.hidden_dim, num_classes=3, seed=0)
+    for _, t in teacher.parameters() + head.parameters():
+        t.data = rng.normal(0.0, 0.7, size=t.shape)
+    batch, seq, pad = (draw(st.integers(1, 3)), draw(st.integers(1, 5)),
+                       draw(st.integers(1, 3)))
+    lengths = draw(st.lists(st.integers(1, seq), min_size=batch, max_size=batch))
+    ids = rng.integers(0, config.vocab_size, size=(batch, seq + pad))
+    mask = np.arange(seq + pad)[None, :] < np.array(lengths)[:, None]
+    return teacher, top_layer_init(teacher), head, ids, mask, max(lengths)
+
+
+def assert_close(got, ref, scale=None):
+    """`got` equals `ref` to 1e-12 of `scale` (default: the largest |ref|)."""
+    assert got.shape == ref.shape
+    if scale is None:
+        scale = np.abs(ref).max(initial=0.0)
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("capture", CAPTURE_MODES)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), dropout_seed=st.integers(0, 2**32 - 1))
+def test_trailing_padding_columns_change_no_value(capture, data, dropout_seed):
+    """Cutting the all-padding columns leaves every kept position of the
+    traces, the distillation loss, its gradients and the logits as a pass
+    over every column computes them, with dropout on."""
+    teacher, student, head, ids, mask, width = data.draw(trailing_padding_case(capture))
+    params = [t for _, t in student.trainable_parameters()]
+
+    def run():
+        for t in params:
+            t.grad = None
+        with no_grad():
+            t_trace = teacher.forward(ids, mask, training_mode=True, dropout_seed=dropout_seed)
+            logits = classify(teacher, head, ids, mask, training_mode=True,
+                              dropout_seed=dropout_seed)
+        s_trace = student.forward(ids, mask, training_mode=True, dropout_seed=dropout_seed)
+        loss = total_distill_loss(t_trace, s_trace)
+        backward(loss)
+        return t_trace, s_trace, loss.item(), [t.grad for t in params], logits.data
+
+    cut = run()
+    with every_column():
+        full = run()
+    for trace, full_trace in zip(cut[:2], full[:2]):
+        assert np.array_equal(trace.attention_mask, mask[:, :width])
+        for h, full_h in zip(trace.hidden, full_trace.hidden):
+            assert_close(h.data, full_h.data[:, :width])
+        for a, full_a in zip(trace.attentions, full_trace.attentions):
+            assert_close(a.data, full_a.data[:, :, :width, :width])
+    assert abs(cut[2] - full[2]) <= 1e-12 * abs(full[2])
+    # Gradients that cancel to rounding noise are compared on the scale of the largest.
+    scale = max(np.abs(g).max() for g in full[3])
+    for g, full_g in zip(cut[3], full[3]):
+        assert_close(g, full_g, scale)
+    assert_close(cut[4], full[4])
 
 
 @pytest.fixture(scope="module")
