@@ -35,7 +35,7 @@ from .corpus import (
     write_labeled,
 )
 from .distill import DistillStagePlan, run_cascade, run_stage
-from .encoder import EncoderModel, init_random
+from .encoder import EncoderModel, ModelConfig, init_random
 from .errors import CascadeKDError, InvalidConfigError, ValidationError
 from .reporting import MetricsWriter, emit_report
 from .training import accuracy, fine_tune, zero_shot_eval
@@ -53,8 +53,17 @@ def _load_run_config(args) -> RunConfig:
     return config
 
 
-def _load_vocab(corpus_dir) -> TokenizerVocab:
-    return TokenizerVocab.load(Path(corpus_dir) / VOCAB_FILE)
+def _load_vocab(corpus_dir, model: ModelConfig) -> TokenizerVocab:
+    """The corpus vocabulary, rejected unless every id fits the model's
+    embedding table."""
+    path = Path(corpus_dir) / VOCAB_FILE
+    vocab = TokenizerVocab.load(path)
+    largest = max(vocab.token_to_id.values())
+    if largest >= model.vocab_size:
+        raise InvalidConfigError(
+            f"{path}: vocabulary of size {vocab.vocab_size} has ids up to {largest}, "
+            f"beyond the model's vocab_size {model.vocab_size}")
+    return vocab
 
 
 def _load_texts(corpus_dir) -> list[str]:
@@ -165,13 +174,14 @@ def _resolve_teacher(args, config: RunConfig) -> EncoderModel:
 
 def _distill_setup(args) -> tuple[RunConfig, Path, EncoderModel, bool, Iterator[Batch]]:
     """The setup `cascade` and `distill` share: the run config, the output
-    directory, the teacher, the dropout flag and the batch stream."""
+    directory, the teacher, the dropout flag and the batch stream. The
+    inputs are loaded and checked before the output directory is made."""
     config = _load_run_config(args)
+    teacher = _resolve_teacher(args, config)
+    vocab = _load_vocab(args.corpus, teacher.config)
+    texts = _load_texts(args.corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    vocab = _load_vocab(args.corpus)
-    texts = _load_texts(args.corpus)
-    teacher = _resolve_teacher(args, config)
     dropout = config.pretrain.dropout and not args.deterministic
     batches = _recycling_batches(texts, vocab, teacher.config.max_seq_len,
                                  config.pretrain.batch_size, config.seeds.shuffle)
@@ -221,15 +231,15 @@ def cmd_distill(args) -> int:
 
 def cmd_finetune(args) -> int:
     config = _load_run_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     bundle = load_checkpoint(args.model)
-    vocab = _load_vocab(args.corpus)
+    vocab = _load_vocab(args.corpus, bundle.model.config)
     language, batch = _labeled_batch(args.train, vocab, bundle.model.config.max_seq_len)
     finetune_config = config.finetune_config(config.seeds.finetune)
     if args.deterministic:
         finetune_config = replace(finetune_config, dropout=False)
     model, head = fine_tune(bundle.model, batch, finetune_config)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "finetuned", model, head=head)
     score = accuracy(model, head, batch)
     print(f"fine-tuned on {language} ({len(batch)} examples), "
@@ -241,7 +251,7 @@ def cmd_eval(args) -> int:
     bundle = load_checkpoint(args.model)
     if bundle.head is None:
         raise InvalidConfigError("checkpoint has no classifier head; run finetune first")
-    vocab = _load_vocab(args.corpus)
+    vocab = _load_vocab(args.corpus, bundle.model.config)
     eval_sets = {}
     for path in args.eval_files:
         language, batch = _labeled_batch(path, vocab, bundle.model.config.max_seq_len)

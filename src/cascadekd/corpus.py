@@ -245,7 +245,7 @@ def class_marker(label: int) -> str:
 
 
 def generate_labeled_task(spec: CorpusSpec, language: str, num_examples: int,
-                          seed: int, num_classes: int = 3) -> list[tuple[str, int, str]]:
+                          seed: int, num_classes: int) -> list[tuple[str, int, str]]:
     """`(language, label, text)` rows; the label's marker token leads each
     line, followed by ordinary text in the requested language."""
     index = next((i for i, lang in enumerate(spec.languages) if lang.name == language), None)

@@ -151,11 +151,6 @@ def total_distill_loss(teacher: ForwardTrace, student: ForwardTrace) -> Tensor:
 # stage and cascade plans
 # ---------------------------------------------------------------------------
 
-# The published operating point: steps per stage and their warmup.
-DEFAULT_STAGE_STEPS = 66_666
-DEFAULT_WARMUP_STEPS = 6_666
-
-
 @dataclass(frozen=True)
 class DistillStagePlan:
     """One teacher -> student shrink step."""
@@ -163,8 +158,8 @@ class DistillStagePlan:
     teacher_depth: int
     student_depth: int
     optimizer: OptimizerConfig
-    steps: int = DEFAULT_STAGE_STEPS
-    warmup_steps: int = DEFAULT_WARMUP_STEPS
+    steps: int
+    warmup_steps: int
 
     def __post_init__(self):
         LayerMapSpec(student_depth=self.student_depth, teacher_depth=self.teacher_depth)
@@ -206,8 +201,7 @@ class CascadePlan:
 
 
 def build_cascade_plan(start_depth: int, end_depth: int, optimizer: OptimizerConfig,
-                       steps_per_stage: int = DEFAULT_STAGE_STEPS,
-                       warmup_steps: int = DEFAULT_WARMUP_STEPS,
+                       steps_per_stage: int, warmup_steps: int,
                        first_stage_full_warmup: bool = True) -> CascadePlan:
     """Plan the chain start_depth -> start_depth-1 -> ... -> end_depth.
 

@@ -32,7 +32,7 @@ either way, so a kept position gets the mask value of the full pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,7 +74,7 @@ class ModelConfig:
     num_layers: int
     num_heads: int
     ffn_dim: int
-    max_seq_len: int = 128
+    max_seq_len: int
     dropout_rate: float = 0.1
     attention_capture: str = PRE_SOFTMAX_SCALED
 
@@ -171,7 +171,6 @@ class ForwardTrace:
     hidden: list[Tensor]
     attentions: list[Tensor]
     attention_mask: np.ndarray
-    capture_mode: str = PRE_SOFTMAX_SCALED
 
     @property
     def depth(self) -> int:
@@ -236,8 +235,7 @@ class EncoderModel:
             x, attn = self._layer_forward(layer, x, mask, drop)
             hidden.append(x)
             attentions.append(attn)
-        return ForwardTrace(hidden=hidden, attentions=attentions,
-                            attention_mask=mask, capture_mode=self.config.attention_capture)
+        return ForwardTrace(hidden=hidden, attentions=attentions, attention_mask=mask)
 
     def _embed(self, token_ids, attention_mask, training_mode: bool, dropout_seed: int):
         """Check the inputs and compute the embedding output at the columns
@@ -251,6 +249,8 @@ class EncoderModel:
             raise DimensionMismatchError(
                 f"attention_mask shape {mask.shape} != token_ids shape {token_ids.shape}")
         batch, seq_len = token_ids.shape
+        if seq_len == 0:
+            raise DimensionMismatchError("token_ids must have at least one position")
         if seq_len > self.config.max_seq_len:
             raise SequenceTooLongError(
                 f"sequence length {seq_len} exceeds max {self.config.max_seq_len}")
@@ -292,8 +292,8 @@ class EncoderModel:
 
 def _computed_width(mask: np.ndarray) -> int:
     """Columns a pass computes for a (B, T) mask: up to the last one that
-    any row keeps, and at least one (of T > 0), so an all-masked row still
-    fails and an empty batch still runs."""
+    any row keeps, and at least one, so an all-masked row still fails and
+    an empty batch still runs."""
     used = np.flatnonzero(mask.any(axis=0))
     return min(mask.shape[1], int(used[-1]) + 1 if used.size else 1)
 
@@ -324,10 +324,9 @@ def init_random(config: ModelConfig, seed: int, embeddings_frozen: bool = True) 
 
 
 class ClassifierHead:
-    """First-token pooler plus a linear output layer (3 classes by default)."""
+    """First-token pooler plus a linear output layer."""
 
-    def __init__(self, hidden_dim: int, num_classes: int = 3,
-                 seed: Optional[int] = None):
+    def __init__(self, hidden_dim: int, num_classes: int, seed: Optional[int] = None):
         if num_classes < 2:
             raise InvalidConfigError("need at least 2 output classes")
         self.hidden_dim = hidden_dim

@@ -44,11 +44,11 @@ class OptimizerConfig:
     """Adam hyperparameters plus batch geometry."""
 
     peak_lr: float
-    batch_size: int = 256
+    batch_size: int
+    epsilon: float
     micro_batch_size: int = 1
     beta1: float = 0.9
     beta2: float = 0.999
-    epsilon: float = 1e-9
     weight_decay: float = 0.0
 
     def __post_init__(self):
@@ -187,8 +187,8 @@ class FineTuneConfig:
     """Supervised fine-tuning at a constant learning rate."""
 
     optimizer: OptimizerConfig
-    epochs: int = 3
-    num_classes: int = 3
+    epochs: int
+    num_classes: int
     seed: int = 0
     dropout: bool = True
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from cascadekd.checkpoint import load_checkpoint, save_checkpoint
 from cascadekd.config import RunConfig, CascadeSection, CorpusSection, \
-    FinetuneSection, PretrainSection, SeedsSection
+    FinetuneSection, PretrainSection, SeedsSection, parse_config
 from cascadekd.corpus import (
     CorpusSpec,
     LanguageSpec,
@@ -31,7 +31,6 @@ from cascadekd.distill import (
     total_distill_loss,
 )
 from cascadekd.encoder import (
-    PRE_SOFTMAX_SCALED,
     ClassifierHead,
     ForwardTrace,
     ModelConfig,
@@ -134,8 +133,7 @@ def test_criterion_1_gradients_match_finite_differences():
 def _trace(hidden, attentions, mask):
     return ForwardTrace(hidden=[Tensor(x) for x in hidden],
                         attentions=[Tensor(a) for a in attentions],
-                        attention_mask=np.asarray(mask, dtype=bool),
-                        capture_mode=PRE_SOFTMAX_SCALED)
+                        attention_mask=np.asarray(mask, dtype=bool))
 
 
 def test_criterion_2_loss_matches_oracle():
@@ -168,7 +166,7 @@ def test_criterion_2_loss_matches_oracle():
 # 3. student initialization and cascade plan arithmetic
 # ---------------------------------------------------------------------------
 
-def test_criterion_3_initialization_and_plan():
+def test_criterion_3_initialization_and_plan(paper_ini):
     config = ModelConfig(vocab_size=64, hidden_dim=16, num_layers=12,
                          num_heads=2, ffn_dim=32, max_seq_len=8,
                          dropout_rate=0.1)
@@ -184,8 +182,7 @@ def test_criterion_3_initialization_and_plan():
     shared = (student.token_embeddings is teacher.token_embeddings
               and student.position_embeddings is teacher.position_embeddings)
 
-    plan = build_cascade_plan(12, 6, OptimizerConfig(peak_lr=1e-7),
-                              steps_per_stage=66_666)
+    plan = parse_config(paper_ini).cascade_plan()
     plan_ok = (len(plan.stages) == 6 and plan.total_steps == 399_996
                and [s.teacher_depth for s in plan.stages] == list(range(12, 6, -1)))
     ok = layers_copied and distinct and shared and plan_ok
@@ -272,7 +269,8 @@ def test_criterion_6_cascade_end_to_end():
     teacher = init_random(config, seed=43)
     _scale_weights(teacher, qk=15.0, other=2.0)
     plan = build_cascade_plan(
-        6, 3, OptimizerConfig(peak_lr=3e-3, batch_size=16, micro_batch_size=16),
+        6, 3, OptimizerConfig(peak_lr=3e-3, batch_size=16, micro_batch_size=16,
+                              epsilon=1e-9),
         steps_per_stage=300, warmup_steps=30)
 
     stages = []

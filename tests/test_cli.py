@@ -8,6 +8,7 @@ import pytest
 from cascadekd.checkpoint import WEIGHTS_NAME, load_checkpoint
 from cascadekd.cli import main
 from cascadekd.config import default_config, parse_config
+from cascadekd.encoder import init_random
 from cascadekd.reporting import read_metrics
 
 TINY_INI = """\
@@ -309,6 +310,27 @@ def test_init_config_round_trip(tmp_path):
     assert parse_config(path) == default_config()
 
 
+def test_the_paper_config_builds_the_published_operating_point(paper_ini, tmp_path):
+    config = parse_config(paper_ini)
+    plan = config.cascade_plan()
+    assert (plan.start_depth, plan.end_depth, len(plan.stages)) == (12, 6, 6)
+    assert plan.total_steps == 399_996
+    assert [s.steps for s in plan.stages] == [66_666] * 6
+    assert [s.warmup_steps for s in plan.stages] == [66_666] + [6_666] * 5
+    pretrain = plan.stages[0].optimizer
+    assert (pretrain.peak_lr, pretrain.batch_size, pretrain.epsilon) == (1e-7, 256, 1e-9)
+    finetune = config.finetune_config(config.seeds.finetune)
+    assert (finetune.optimizer.peak_lr, finetune.optimizer.batch_size,
+            finetune.optimizer.micro_batch_size, finetune.epochs,
+            finetune.optimizer.epsilon) == (2e-5, 32, 32, 3, 2e-7)
+    model = init_random(config.model, config.seeds.cascade)
+    assert model.num_layers == 12
+    assert model.position_embeddings.shape == (128, config.model.hidden_dim)
+    written = tmp_path / "paper.ini"
+    assert main(["init-config", "--config", str(paper_ini), "--out", str(written)]) == 0
+    assert parse_config(written) == config
+
+
 def test_seed_override_changes_corpus(pipeline, tmp_path):
     out = tmp_path / "seeded"
     assert main(["gen-corpus", "--config", str(pipeline["ini"]),
@@ -365,6 +387,35 @@ def test_a_vocabulary_without_the_special_ids_is_rejected(tmp_path, capsys, toke
     vocab.write_text(json.dumps({"vocab_size": 8, "token_to_id": token_to_id}))
     assert main(["cascade", "--corpus", str(corpus), "--out", str(tmp_path / "run")]) == 1
     assert str(vocab) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cascade", "distill", "finetune", "eval"])
+def test_a_vocabulary_wider_than_the_model_is_rejected_before_any_write(
+        pipeline, tmp_path, capsys, command):
+    corpus = tmp_path / "corpus"
+    assert main(["gen-corpus", "--out", str(corpus), "--lines", "200"]) == 0
+    vocab = corpus / "vocab.json"
+    # Built for 256 ids; every model of the pipeline has vocab_size 64.
+    assert max(json.loads(vocab.read_text())["token_to_id"].values()) >= 64
+    out = tmp_path / "run"
+    out.mkdir()
+    kept = b'{"loss": 1.0, "lr": 0.0, "stage": 0, "step": 0}\n'
+    (out / "metrics.jsonl").write_bytes(kept)
+    run, task = pipeline["run"], pipeline["task"]
+    args = {
+        "cascade": ["--config", str(pipeline["ini"]), "--out", str(out)],
+        "distill": ["--teacher", str(run / "final"), "--out", str(out)],
+        "finetune": ["--model", str(run / "final"), "--out", str(out),
+                     "--train", str(task / "task_train_aa.tsv")],
+        "eval": ["--model", str(run / "finetuned"), "--out", str(out / "eval.json"),
+                 str(task / "task_eval_aa.tsv")],
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--corpus", str(corpus)] + args) == 1
+    err = capsys.readouterr().err
+    assert str(vocab) in err and "size 256" in err and "vocab_size 64" in err
+    assert list(out.iterdir()) == [out / "metrics.jsonl"]
+    assert (out / "metrics.jsonl").read_bytes() == kept
 
 
 @pytest.mark.parametrize("payload", [

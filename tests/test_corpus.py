@@ -211,7 +211,7 @@ def test_labeled_task_shape():
     again = generate_labeled_task(spec, "es", 100, seed=9, num_classes=3)
     assert rows == again
     with pytest.raises(InvalidSpecError):
-        generate_labeled_task(spec, "fr", 10, seed=0)
+        generate_labeled_task(spec, "fr", 10, seed=0, num_classes=3)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cascadekd import distill
-from cascadekd.config import default_config
+from cascadekd.config import default_config, parse_config
 from cascadekd.corpus import Batch
 from cascadekd.distill import (
     CascadePlan,
@@ -26,7 +26,6 @@ from cascadekd.distill import (
     total_distill_loss,
 )
 from cascadekd.encoder import (
-    PRE_SOFTMAX_SCALED,
     EncoderModel,
     ForwardTrace,
     ModelConfig,
@@ -57,8 +56,7 @@ def toy_config(**overrides):
 def trace_from_arrays(hidden, attentions, mask):
     return ForwardTrace(hidden=[Tensor(h) for h in hidden],
                         attentions=[Tensor(a) for a in attentions],
-                        attention_mask=np.asarray(mask, dtype=bool),
-                        capture_mode=PRE_SOFTMAX_SCALED)
+                        attention_mask=np.asarray(mask, dtype=bool))
 
 
 def random_trace_pair(rng, n, batch=2, seq=5, dim=4, heads=2, padded=True):
@@ -318,13 +316,13 @@ def test_teacher_receives_no_gradient():
 # ---------------------------------------------------------------------------
 
 def optimizer_config(**overrides):
-    base = dict(peak_lr=1e-3, batch_size=4, micro_batch_size=4)
+    base = dict(peak_lr=1e-3, batch_size=4, micro_batch_size=4, epsilon=1e-9)
     base.update(overrides)
     return OptimizerConfig(**base)
 
 
-def test_build_cascade_plan_counts():
-    plan = build_cascade_plan(12, 6, optimizer_config())
+def test_build_cascade_plan_counts(paper_ini):
+    plan = parse_config(paper_ini).cascade_plan()
     assert len(plan.stages) == 6
     assert plan.total_steps == 399_996
     assert plan.stages[0].warmup_steps == plan.stages[0].steps
@@ -335,16 +333,17 @@ def test_build_cascade_plan_counts():
 
 def test_cascade_plan_validation():
     opt = optimizer_config()
-    stages = (DistillStagePlan(teacher_depth=3, student_depth=2, optimizer=opt),)
+    steps = dict(steps=3, warmup_steps=1)
+    stages = (DistillStagePlan(teacher_depth=3, student_depth=2, optimizer=opt, **steps),)
     with pytest.raises(InvalidConfigError):
         CascadePlan(start_depth=3, end_depth=1, stages=stages)
-    wrong = (DistillStagePlan(teacher_depth=2, student_depth=1, optimizer=opt),)
+    wrong = (DistillStagePlan(teacher_depth=2, student_depth=1, optimizer=opt, **steps),)
     with pytest.raises(InvalidConfigError):
         CascadePlan(start_depth=3, end_depth=2, stages=wrong)
     with pytest.raises(DepthMismatchError):
-        DistillStagePlan(teacher_depth=4, student_depth=2, optimizer=opt)
+        DistillStagePlan(teacher_depth=4, student_depth=2, optimizer=opt, **steps)
     with pytest.raises(InvalidConfigError):
-        DistillStagePlan(teacher_depth=1, student_depth=0, optimizer=opt)
+        DistillStagePlan(teacher_depth=1, student_depth=0, optimizer=opt, **steps)
     with pytest.raises(InvalidConfigError):
         build_cascade_plan(6, 3, opt, steps_per_stage=3, warmup_steps=-1)
 
@@ -405,7 +404,7 @@ def test_run_stage_depth_check():
     rng = np.random.default_rng(9)
     teacher = init_random(toy_config(num_layers=2), seed=10)
     plan = DistillStagePlan(teacher_depth=3, student_depth=2,
-                            optimizer=optimizer_config(), steps=1)
+                            optimizer=optimizer_config(), steps=1, warmup_steps=1)
     with pytest.raises(DepthMismatchError):
         run_stage(plan, teacher, iter(random_batches(rng, 1)), seed=0)
 
@@ -612,7 +611,7 @@ def test_the_teacher_runs_on_the_worker_only_past_the_flop_rule(monkeypatch):
     # The benchmark's mid-scale stage: a 3 -> 2 shrink at d=256, T=128.
     mid = ModelConfig(vocab_size=256, hidden_dim=256, num_layers=3, num_heads=4,
                       ffn_dim=1024, max_seq_len=128)
-    mid_plan = DistillStagePlan(teacher_depth=3, student_depth=2, steps=4,
+    mid_plan = DistillStagePlan(teacher_depth=3, student_depth=2, steps=4, warmup_steps=4,
                                 optimizer=OptimizerConfig(peak_lr=3e-3, batch_size=16,
-                                                          micro_batch_size=8))
+                                                          micro_batch_size=8, epsilon=1e-9))
     assert distill._teacher_on_worker(mid_plan, mid)

@@ -101,8 +101,8 @@ def test_capture_modes():
     post = init_random(toy_config(attention_capture=POST_SOFTMAX), seed=5)
     trace_pre = pre.forward(ids, mask)
     trace_post = post.forward(ids, mask)
-    assert trace_pre.capture_mode == PRE_SOFTMAX_SCALED
-    assert trace_post.capture_mode == POST_SOFTMAX
+    assert pre.config.attention_capture == PRE_SOFTMAX_SCALED
+    assert post.config.attention_capture == POST_SOFTMAX
     probs = trace_post.attentions[0].data
     # probability rows at real query positions sum to one over real keys
     for b in range(2):
@@ -170,6 +170,20 @@ def test_forward_validation():
         model.forward(np.zeros((1, 5), dtype=int), np.ones((1, 5), dtype=bool))
     with pytest.raises(DimensionMismatchError):
         model.forward(np.zeros((1, 4), dtype=int), np.ones((2, 4), dtype=bool))
+
+
+def test_a_zero_length_input_is_a_dimension_error():
+    model = init_random(toy_config(), seed=0)
+    head = ClassifierHead(8, num_classes=3, seed=1)
+    ids, mask = np.zeros((2, 0), dtype=int), np.zeros((2, 0), dtype=bool)
+    with pytest.raises(DimensionMismatchError, match="at least one position"):
+        model.forward(ids, mask)
+    with pytest.raises(DimensionMismatchError, match="at least one position"):
+        classify(model, head, ids, mask)
+    # A batch of zero rows still runs: `predict` passes an empty eval set through.
+    ids, mask = np.zeros((0, 4), dtype=int), np.zeros((0, 4), dtype=bool)
+    assert model.forward(ids, mask).hidden[-1].shape == (0, 1, 8)
+    assert classify(model, head, ids, mask).shape == (0, 3)
 
 
 def test_parameter_listing_and_freezing():

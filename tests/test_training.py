@@ -42,15 +42,15 @@ from oracles import reference_adam, reference_lr
 # ---------------------------------------------------------------------------
 
 def test_optimizer_config_validation():
-    OptimizerConfig(peak_lr=1e-3, batch_size=8, micro_batch_size=4)
+    OptimizerConfig(peak_lr=1e-3, batch_size=8, micro_batch_size=4, epsilon=1e-9)
     with pytest.raises(InvalidConfigError):
-        OptimizerConfig(peak_lr=-1.0)
+        OptimizerConfig(peak_lr=-1.0, batch_size=1, epsilon=1e-9)
     with pytest.raises(InvalidConfigError):
-        OptimizerConfig(peak_lr=1e-3, beta1=1.0)
+        OptimizerConfig(peak_lr=1e-3, batch_size=1, epsilon=1e-9, beta1=1.0)
     with pytest.raises(InvalidConfigError):
-        OptimizerConfig(peak_lr=1e-3, epsilon=0.0)
+        OptimizerConfig(peak_lr=1e-3, batch_size=1, epsilon=0.0)
     with pytest.raises(InvalidConfigError):
-        OptimizerConfig(peak_lr=1e-3, batch_size=10, micro_batch_size=4)
+        OptimizerConfig(peak_lr=1e-3, batch_size=10, micro_batch_size=4, epsilon=1e-9)
 
 
 def test_schedule_config_validation():
@@ -137,7 +137,7 @@ def test_adam_zero_betas_is_normalized_sgd():
 
 
 def test_adam_zero_gradient_keeps_params():
-    config = OptimizerConfig(peak_lr=0.5, batch_size=1)
+    config = OptimizerConfig(peak_lr=0.5, batch_size=1, epsilon=1e-9)
     p = Tensor(np.array([3.0, -1.0]), requires_grad=True)
     opt = Adam([("p", p)], config)
     for _ in range(5):
@@ -148,7 +148,8 @@ def test_adam_zero_gradient_keeps_params():
 def test_adam_matches_functional_replay():
     rng = np.random.default_rng(1)
     for wd in (0.0, 0.01):
-        config = OptimizerConfig(peak_lr=0.03, batch_size=1, weight_decay=wd)
+        config = OptimizerConfig(peak_lr=0.03, batch_size=1, epsilon=1e-9,
+                                 weight_decay=wd)
         start = rng.normal(size=(3, 2))
         grads = [rng.normal(size=(3, 2)) for _ in range(20)]
         p = Tensor(start.copy(), requires_grad=True)
@@ -162,7 +163,7 @@ def test_adam_matches_functional_replay():
 
 
 def test_adam_shape_check_and_duplicate_names():
-    config = OptimizerConfig(peak_lr=0.1, batch_size=1)
+    config = OptimizerConfig(peak_lr=0.1, batch_size=1, epsilon=1e-9)
     p = Tensor(np.zeros((2, 2)), requires_grad=True)
     p.grad = np.zeros(3)
     with pytest.raises(ShapeMismatchError):
@@ -199,7 +200,7 @@ def test_accumulation_invariant_to_micro_batching():
     for micro_size in (1, 2, 4, 8):
         table.data = start.copy()
         config = OptimizerConfig(peak_lr=0.05, batch_size=8,
-                                 micro_batch_size=micro_size)
+                                 micro_batch_size=micro_size, epsilon=1e-9)
         opt = Adam([("table", table)], config)
         loss = accumulate_and_step(loss_fn, batch.split(micro_size), opt, lr)
         results.append((loss, table.data.copy()))
@@ -212,7 +213,7 @@ def test_accumulation_invariant_to_micro_batching():
 def test_accumulation_weights_ragged_micros():
     rng = np.random.default_rng(3)
     table, batch, loss_fn = toy_loss_setup(rng, rows=5)
-    config = OptimizerConfig(peak_lr=0.0, batch_size=5, micro_batch_size=1)
+    config = OptimizerConfig(peak_lr=0.0, batch_size=5, micro_batch_size=1, epsilon=1e-9)
     opt = Adam([("table", table)], config)
     micros = batch.split(3)  # sizes 3 and 2
     with_split = accumulate_and_step(loss_fn, micros, opt, 0.0)
@@ -223,7 +224,7 @@ def test_accumulation_weights_ragged_micros():
 def test_accumulation_frees_each_micro_batch_graph():
     rng = np.random.default_rng(5)
     table, batch, loss_fn = toy_loss_setup(rng)
-    config = OptimizerConfig(peak_lr=0.1, batch_size=8, micro_batch_size=2)
+    config = OptimizerConfig(peak_lr=0.1, batch_size=8, micro_batch_size=2, epsilon=1e-9)
     opt = Adam([("table", table)], config)
     graphs = []
     earlier_alive = []
@@ -242,7 +243,7 @@ def test_accumulation_frees_each_micro_batch_graph():
 def test_accumulation_rejects_empty_micro_batches():
     rng = np.random.default_rng(4)
     table, batch, loss_fn = toy_loss_setup(rng)
-    config = OptimizerConfig(peak_lr=0.1, batch_size=8, micro_batch_size=8)
+    config = OptimizerConfig(peak_lr=0.1, batch_size=8, micro_batch_size=8, epsilon=1e-9)
     opt = Adam([("table", table)], config)
     with pytest.raises(InvalidConfigError):
         accumulate_and_step(loss_fn, [], opt, 0.0)
@@ -303,7 +304,7 @@ def test_fine_tune_zero_epochs_keeps_head_at_init():
     data = marker_task(rng, vocab, examples=8)
     config = FineTuneConfig(
         optimizer=OptimizerConfig(peak_lr=1e-2, batch_size=8,
-                                  micro_batch_size=8),
+                                  micro_batch_size=8, epsilon=1e-9),
         epochs=0, num_classes=3, seed=8)
     model = small_model(seed=9)
     params_before = {n: p.data.copy() for n, p in model.parameters()}
@@ -321,14 +322,15 @@ def test_fine_tune_label_validation():
     data = marker_task(rng, vocab, examples=8)
     config = FineTuneConfig(
         optimizer=OptimizerConfig(peak_lr=1e-2, batch_size=8,
-                                  micro_batch_size=8),
+                                  micro_batch_size=8, epsilon=1e-9),
         epochs=1, num_classes=2, seed=0)
     with pytest.raises(LabelOutOfRangeError):
         fine_tune(small_model(), data, config)
     unlabeled = Batch(data.token_ids, data.attention_mask)
     with pytest.raises(InvalidConfigError):
         fine_tune(small_model(), unlabeled,
-                  FineTuneConfig(optimizer=config.optimizer, seed=0))
+                  FineTuneConfig(optimizer=config.optimizer, epochs=1, num_classes=2,
+                                 seed=0))
 
 
 def test_zero_shot_eval_unweighted_average():
