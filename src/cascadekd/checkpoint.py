@@ -20,12 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .encoder import ClassifierHead, EncoderModel, ModelConfig
-from .errors import (
-    DigestMismatchError,
-    InvalidConfigError,
-    ShapeMismatchError,
-    VersionMismatchError,
-)
+from .errors import NumericError, ValidationError
 from .tensor import Tensor
 
 FORMAT_VERSION = 1
@@ -89,18 +84,27 @@ def save_checkpoint(path, model: EncoderModel, head: Optional[ClassifierHead] = 
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _count(value, what: str) -> int:
+    """A manifest field that must be a non-negative int (a bool is not one)."""
+    if type(value) is not int or value < 0:
+        raise ValidationError(f"manifest {what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def load_checkpoint(path) -> CheckpointBundle:
     """Load and digest-verify a checkpoint directory."""
     directory = Path(path)
     try:
         manifest = json.loads((directory / MANIFEST_NAME).read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise InvalidConfigError(f"no checkpoint manifest in {directory}") from None
+        raise ValidationError(f"no checkpoint manifest in {directory}") from None
     except json.JSONDecodeError as exc:
-        raise InvalidConfigError(f"unreadable manifest: {exc}") from None
+        raise ValidationError(f"unreadable manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"manifest in {directory} is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
-        raise VersionMismatchError(
+        raise ValidationError(
             f"checkpoint format {version!r}, expected {FORMAT_VERSION}")
 
     try:
@@ -109,11 +113,17 @@ def load_checkpoint(path) -> CheckpointBundle:
         head_spec = manifest.get("head")
         head = None if head_spec is None else ClassifierHead(
             head_spec["hidden_dim"], head_spec["num_classes"], seed=None)
-        records = [(r["name"], r["offset"], r["nbytes"], r["sha256"], tuple(r["shape"]))
+        records = [(r["name"], _count(r["offset"], f"offset of {r['name']!r}"),
+                    _count(r["nbytes"], f"nbytes of {r['name']!r}"), r["sha256"],
+                    tuple(r["shape"]))
                    for r in manifest["tensors"]]
-        stage_index, step_count = manifest["stage_index"], manifest["step_count"]
+        stage_index = _count(manifest["stage_index"], "stage_index")
+        step_count = _count(manifest["step_count"], "step_count")
     except (KeyError, TypeError) as exc:
-        raise InvalidConfigError(f"manifest field missing or malformed: {exc}") from None
+        raise ValidationError(f"manifest field missing or malformed: {exc}") from None
+    if type(embeddings_frozen) is not bool:
+        raise ValidationError(
+            f"manifest embeddings_frozen must be true or false, got {embeddings_frozen!r}")
     model = EncoderModel(config, seed=None, embeddings_frozen=embeddings_frozen)
     targets = dict(_named_tensors(model, head))
 
@@ -121,18 +131,18 @@ def load_checkpoint(path) -> CheckpointBundle:
     seen = set()
     for name, offset, nbytes, digest, shape in records:
         if name not in targets:
-            raise InvalidConfigError(f"manifest lists unknown tensor {name!r}")
+            raise ValidationError(f"manifest lists unknown tensor {name!r}")
         blob = raw[offset:offset + nbytes]
         if len(blob) != nbytes:
-            raise DigestMismatchError(f"weights file truncated at tensor {name!r}")
+            raise NumericError(f"weights file truncated at tensor {name!r}")
         if hashlib.sha256(blob).hexdigest() != digest:
-            raise DigestMismatchError(f"digest mismatch for tensor {name!r}")
+            raise NumericError(f"digest mismatch for tensor {name!r}")
         tensor = targets[name]
         if shape != tensor.shape:
-            raise ShapeMismatchError(
+            raise ValidationError(
                 f"tensor {name!r} has shape {shape}, expected {tensor.shape}")
         if nbytes != 8 * tensor.data.size:
-            raise InvalidConfigError(
+            raise ValidationError(
                 f"tensor {name!r} of shape {shape} is listed with {nbytes} bytes, "
                 f"not {8 * tensor.data.size}")
         tensor.data = np.frombuffer(blob, dtype="<f8").reshape(shape).astype(
@@ -140,6 +150,6 @@ def load_checkpoint(path) -> CheckpointBundle:
         seen.add(name)
     missing = set(targets) - seen
     if missing:
-        raise InvalidConfigError(f"checkpoint missing tensors: {sorted(missing)}")
+        raise ValidationError(f"checkpoint missing tensors: {sorted(missing)}")
     return CheckpointBundle(model=model, head=head,
                             stage_index=stage_index, step_count=step_count)

@@ -36,7 +36,7 @@ from .corpus import (
 )
 from .distill import DistillStagePlan, run_cascade, run_stage
 from .encoder import EncoderModel, ModelConfig, init_random
-from .errors import CascadeKDError, InvalidConfigError, ValidationError
+from .errors import CascadeKDError, ValidationError
 from .reporting import MetricsWriter, emit_report
 from .training import accuracy, fine_tune, zero_shot_eval
 
@@ -60,7 +60,7 @@ def _load_vocab(corpus_dir, model: ModelConfig) -> TokenizerVocab:
     vocab = TokenizerVocab.load(path)
     largest = max(vocab.token_to_id.values())
     if largest >= model.vocab_size:
-        raise InvalidConfigError(
+        raise ValidationError(
             f"{path}: vocabulary of size {vocab.vocab_size} has ids up to {largest}, "
             f"beyond the model's vocab_size {model.vocab_size}")
     return vocab
@@ -74,7 +74,7 @@ def _recycling_batches(texts, vocab: TokenizerVocab, max_len: int,
                        batch_size: int, seed: int) -> Iterator[Batch]:
     """Endless batch stream: each pass reshuffles with a fresh seed."""
     if len(texts) < batch_size:
-        raise InvalidConfigError(
+        raise ValidationError(
             f"corpus has {len(texts)} lines, fewer than one batch of {batch_size}")
 
     def generator():
@@ -95,10 +95,10 @@ def _labeled_batch(path, vocab: TokenizerVocab, max_len: int) -> tuple[str, Batc
     """The file's one language and its examples as one batch."""
     rows = read_labeled(path)
     if not rows:
-        raise InvalidConfigError(f"no labeled examples in {path}")
+        raise ValidationError(f"no labeled examples in {path}")
     languages = sorted({lang for lang, _, _ in rows})
     if len(languages) > 1:
-        raise InvalidConfigError(
+        raise ValidationError(
             f"{path}: mixes languages {', '.join(languages)}; give one file per language")
     language = languages[0]
     texts = [text for _, _, text in rows]
@@ -144,12 +144,16 @@ def cmd_gen_corpus(args) -> int:
 
 def cmd_gen_task(args) -> int:
     config = _load_run_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     spec = config.corpus_spec()
     names = [lang.name for lang in spec.languages]
     if args.language not in names:
-        raise InvalidConfigError(f"unknown language {args.language!r}; have {names}")
+        raise ValidationError(f"unknown language {args.language!r}; have {names}")
+    for flag, count in (("--train-examples", args.train_examples),
+                        ("--eval-examples", args.eval_examples)):
+        if count < 1:
+            raise ValidationError(f"{flag} must be >= 1, got {count}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     train_rows = generate_labeled_task(spec, args.language, args.train_examples,
                                        config.seeds.task, config.finetune.num_classes)
     train_path = out / f"task_train_{args.language}.tsv"
@@ -250,13 +254,13 @@ def cmd_finetune(args) -> int:
 def cmd_eval(args) -> int:
     bundle = load_checkpoint(args.model)
     if bundle.head is None:
-        raise InvalidConfigError("checkpoint has no classifier head; run finetune first")
+        raise ValidationError("checkpoint has no classifier head; run finetune first")
     vocab = _load_vocab(args.corpus, bundle.model.config)
     eval_sets = {}
     for path in args.eval_files:
         language, batch = _labeled_batch(path, vocab, bundle.model.config.max_seq_len)
         if language in eval_sets:
-            raise InvalidConfigError(f"{path}: a second eval set for language {language!r}")
+            raise ValidationError(f"{path}: a second eval set for language {language!r}")
         eval_sets[language] = batch
     result = zero_shot_eval(bundle.model, bundle.head, eval_sets)
     label = args.label or f"{bundle.model.num_layers}-layer"
@@ -277,12 +281,12 @@ def cmd_report(args) -> int:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
             label, accuracies = payload["label"], payload["per_language"]
         except (ValueError, KeyError, TypeError) as exc:
-            raise InvalidConfigError(
+            raise ValidationError(
                 f"{path}: not an eval result: {type(exc).__name__}: {exc}") from None
         if not (isinstance(label, str) and isinstance(accuracies, dict) and accuracies
                 and all(map(_is_number, [*accuracies.values(),
                                          payload.get("average", 0.0)]))):
-            raise InvalidConfigError(
+            raise ValidationError(
                 f"{path}: not an eval result: needs a string label, a non-empty "
                 f"per_language map of accuracies and a numeric average if any")
         rows.append((label, accuracies))

@@ -10,12 +10,13 @@ method is `configs/paper.ini`, which sets only the published keys.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields, replace
 
 from .corpus import CorpusSpec
 from .distill import CascadePlan, build_cascade_plan
 from .encoder import PRE_SOFTMAX_SCALED, ModelConfig
-from .errors import InvalidConfigError
+from .errors import ValidationError
 from .training import FineTuneConfig, OptimizerConfig
 
 # `[pretrain] epsilon`'s default, which is also the published value.
@@ -91,11 +92,11 @@ class RunConfig:
 
     def __post_init__(self):
         if self.model.num_layers != self.cascade.start_depth:
-            raise InvalidConfigError(
+            raise ValidationError(
                 f"model has {self.model.num_layers} layers but the cascade "
                 f"starts at depth {self.cascade.start_depth}")
         if self.model.vocab_size != self.corpus.vocab_size:
-            raise InvalidConfigError(
+            raise ValidationError(
                 f"model vocab {self.model.vocab_size} != corpus vocab "
                 f"{self.corpus.vocab_size}")
         # Build what the commands build, so a bad value fails when the file
@@ -111,18 +112,18 @@ class RunConfig:
             if not part:
                 continue
             if ":" not in part:
-                raise InvalidConfigError(
+                raise ValidationError(
                     f"language entry {part!r} is not name:size")
             name, _, size = part.partition(":")
             name = name.strip()
             if name in sizes:
-                raise InvalidConfigError(f"language {name!r} is listed twice")
+                raise ValidationError(f"language {name!r} is listed twice")
             try:
                 sizes[name] = float(size)
             except ValueError:
-                raise InvalidConfigError(f"bad language size in {part!r}") from None
+                raise ValidationError(f"bad language size in {part!r}") from None
         if not sizes:
-            raise InvalidConfigError("no languages configured")
+            raise ValidationError("no languages configured")
         return sizes
 
     def corpus_spec(self) -> CorpusSpec:
@@ -189,10 +190,13 @@ def _coerce(raw: str, target_type: type, section: str, key: str):
             if lowered in ("false", "no", "off", "0"):
                 return False
             raise ValueError(raw)
-        return target_type(raw)
+        value = target_type(raw)
     except ValueError:
-        raise InvalidConfigError(
+        raise ValidationError(
             f"[{section}] {key} = {raw!r} is not a valid {target_type.__name__}") from None
+    if target_type is float and not math.isfinite(value):
+        raise ValidationError(f"[{section}] {key} = {raw!r} is not finite")
+    return value
 
 
 def _parse_section(parser: configparser.ConfigParser, name: str, cls, defaults):
@@ -202,7 +206,7 @@ def _parse_section(parser: configparser.ConfigParser, name: str, cls, defaults):
     types = {f.name: type(getattr(defaults, f.name)) for f in fields(cls)}
     for key, raw in parser.items(name):
         if key not in types:
-            raise InvalidConfigError(f"unknown key {key!r} in section [{name}]")
+            raise ValidationError(f"unknown key {key!r} in section [{name}]")
         values[key] = _coerce(raw, types[key], name, key)
     merged = {f.name: values.get(f.name, getattr(defaults, f.name)) for f in fields(cls)}
     return cls(**merged)
@@ -211,17 +215,21 @@ def _parse_section(parser: configparser.ConfigParser, name: str, cls, defaults):
 def parse_config(path) -> RunConfig:
     """Read an INI run configuration; unset keys keep their defaults."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path, encoding="utf-8")
-    if not read:
-        raise InvalidConfigError(f"cannot read config file {path}")
-    base = default_config()
-    for section in parser.sections():
-        if section not in _SECTION_FIELDS:
-            raise InvalidConfigError(f"unknown section [{section}]")
-    sections = {
-        name: _parse_section(parser, name, cls, getattr(base, name))
-        for name, cls in _SECTION_FIELDS.items()
-    }
+    try:
+        read = parser.read(path, encoding="utf-8")
+        if not read:
+            raise ValidationError(f"cannot read config file {path}")
+        base = default_config()
+        for section in parser.sections():
+            if section not in _SECTION_FIELDS:
+                raise ValidationError(f"unknown section [{section}]")
+        sections = {
+            name: _parse_section(parser, name, cls, getattr(base, name))
+            for name, cls in _SECTION_FIELDS.items()
+        }
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = " ".join(str(exc).split())  # configparser's messages span lines
+        raise ValidationError(f"{path}: not a valid INI file: {detail}") from None
     return RunConfig(**sections)
 
 

@@ -23,15 +23,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateRatioError,
-    EmptyTableError,
-    InvalidConfigError,
-    InvalidDistributionError,
-    InvalidSpecError,
-    InvalidTargetError,
-    NonPositiveSizeError,
-)
+from .errors import ValidationError
 
 # ---------------------------------------------------------------------------
 # language sampling
@@ -43,16 +35,16 @@ PROBABILITY_TOL = 1e-9
 def size_distribution(sizes: Mapping[str, float]) -> dict[str, float]:
     """Raw language probabilities, proportional to size on disk."""
     if not sizes:
-        raise EmptyTableError("no languages given")
+        raise ValidationError("no languages given")
     for name, size in sizes.items():
         if not 0 < size < math.inf:
-            raise NonPositiveSizeError(
+            raise ValidationError(
                 f"language {name!r} has size {size}; sizes must be finite and > 0")
     total = float(sum(sizes.values()))
     shares = {name: size / total for name, size in sizes.items()}
     for name, share in shares.items():
         if not 0 < share < math.inf:
-            raise NonPositiveSizeError(
+            raise ValidationError(
                 f"language {name!r} has share {share} of total size {total}; "
                 "shares must be finite and > 0")
     return shares
@@ -65,25 +57,25 @@ def solve_smoothing_exponent(p_a: float, p_b: float, target_ratio: float) -> flo
     S = ln(target_ratio) / ln(p_a/p_b).
     """
     if target_ratio <= 0:
-        raise InvalidTargetError(f"target ratio must be positive, got {target_ratio}")
+        raise ValidationError(f"target ratio must be positive, got {target_ratio}")
     if p_a <= 0 or p_b <= 0:
-        raise InvalidDistributionError("anchor probabilities must be positive")
+        raise ValidationError("anchor probabilities must be positive")
     if p_a == p_b:
-        raise DegenerateRatioError("anchor probabilities are equal; no exponent exists")
+        raise ValidationError("anchor probabilities are equal; no exponent exists")
     return float(np.log(target_ratio) / np.log(p_a / p_b))
 
 
 def exponentiate_distribution(probabilities: Mapping[str, float], exponent: float) -> dict[str, float]:
     """Smoothed distribution P'(j) = P(j)^S / sum_k P(k)^S."""
     if exponent <= 0:
-        raise InvalidTargetError(f"exponent must be positive, got {exponent}")
+        raise ValidationError(f"exponent must be positive, got {exponent}")
     if not probabilities:
-        raise InvalidDistributionError("empty distribution")
+        raise ValidationError("empty distribution")
     values = np.array(list(probabilities.values()), dtype=np.float64)
     if (values <= 0).any():
-        raise InvalidDistributionError("probabilities must be positive")
+        raise ValidationError("probabilities must be positive")
     if abs(values.sum() - 1.0) > PROBABILITY_TOL:
-        raise InvalidDistributionError(f"probabilities sum to {values.sum()}, not 1")
+        raise ValidationError(f"probabilities sum to {values.sum()}, not 1")
     powered = values ** exponent
     powered /= powered.sum()
     return dict(zip(probabilities.keys(), powered.tolist()))
@@ -101,7 +93,7 @@ MAX_WORD_LEN = 4
 def _default_alphabets(count: int) -> list[str]:
     pool = string.ascii_lowercase + string.ascii_uppercase + string.digits
     if count * _ALPHABET_CHUNK > len(pool):
-        raise InvalidSpecError(
+        raise ValidationError(
             f"no default alphabets for {count} languages; set them explicitly")
     return [pool[i * _ALPHABET_CHUNK:(i + 1) * _ALPHABET_CHUNK] for i in range(count)]
 
@@ -126,16 +118,16 @@ class CorpusSpec:
 
     def __post_init__(self):
         if not self.languages:
-            raise InvalidSpecError("corpus spec needs at least one language")
+            raise ValidationError("corpus spec needs at least one language")
         if not 1 <= self.min_words_per_line <= self.max_words_per_line:
-            raise InvalidSpecError("bad words-per-line range")
+            raise ValidationError("bad words-per-line range")
         if not 1 < self.smoothing_target_ratio < math.inf:
-            raise InvalidTargetError(
+            raise ValidationError(
                 f"smoothing_target_ratio must be finite and > 1, "
                 f"got {self.smoothing_target_ratio}")
         names = [lang.name for lang in self.languages]
         if len(set(names)) != len(names):
-            raise InvalidSpecError("duplicate language names")
+            raise ValidationError("duplicate language names")
         if any(not lang.alphabet for lang in self.languages):
             defaults = _default_alphabets(len(self.languages))
             filled = tuple(
@@ -144,7 +136,7 @@ class CorpusSpec:
             object.__setattr__(self, "languages", filled)
         alphabets = [lang.alphabet for lang in self.languages]
         if len(set(alphabets)) != len(alphabets):
-            raise InvalidSpecError("languages need distinct character distributions")
+            raise ValidationError("languages need distinct character distributions")
 
     @classmethod
     def from_sizes(cls, sizes: Mapping[str, float], **kwargs) -> "CorpusSpec":
@@ -215,7 +207,7 @@ def generate_synthetic_corpus(spec: CorpusSpec, total_lines: int,
     """Deterministically generate `(language, text)` lines, languages drawn
     i.i.d. from the smoothed distribution."""
     if total_lines < 0:
-        raise InvalidSpecError("total_lines must be >= 0")
+        raise ValidationError("total_lines must be >= 0")
     models = [_MarkovLanguage(lang, _language_seed(seed, i))
               for i, lang in enumerate(spec.languages)]
     weights = list(spec.sampling_probabilities().values())
@@ -250,7 +242,7 @@ def generate_labeled_task(spec: CorpusSpec, language: str, num_examples: int,
     line, followed by ordinary text in the requested language."""
     index = next((i for i, lang in enumerate(spec.languages) if lang.name == language), None)
     if index is None:
-        raise InvalidSpecError(f"unknown language {language!r}")
+        raise ValidationError(f"unknown language {language!r}")
     model = _MarkovLanguage(spec.languages[index], _language_seed(seed, index))
     rng = random.Random(seed * 69_069 + 13)
     rows = []
@@ -285,12 +277,12 @@ class TokenizerVocab:
     def __post_init__(self):
         ids = set(self.token_to_id.values())
         if len(ids) != len(self.token_to_id):
-            raise InvalidConfigError("duplicate token ids")
+            raise ValidationError("duplicate token ids")
         if any(not 0 <= i < self.vocab_size for i in ids):
-            raise InvalidConfigError("token id outside [0, vocab_size)")
+            raise ValidationError("token id outside [0, vocab_size)")
         for i, tok in enumerate(SPECIAL_TOKENS):
             if self.token_to_id.get(tok) != i:
-                raise InvalidConfigError(
+                raise ValidationError(
                     f"special token {tok} must have id {i}, "
                     f"found {self.token_to_id.get(tok)}")
 
@@ -300,7 +292,7 @@ class TokenizerVocab:
         """Vocabulary of the most frequent whitespace tokens, with ties
         broken lexicographically; `extra_tokens` are always included."""
         if vocab_size < len(SPECIAL_TOKENS) + 1:
-            raise InvalidConfigError(f"vocab_size {vocab_size} too small")
+            raise ValidationError(f"vocab_size {vocab_size} too small")
         counts = Counter()
         for line in lines:
             counts.update(line.split())
@@ -331,17 +323,17 @@ class TokenizerVocab:
                 blob = json.load(fh)
             token_to_id, vocab_size = blob["token_to_id"], blob["vocab_size"]
         except (ValueError, KeyError, TypeError) as exc:
-            raise InvalidConfigError(
+            raise ValidationError(
                 f"{path}: not a vocabulary file: {type(exc).__name__}: {exc}") from None
         if not isinstance(token_to_id, dict) or \
                 any(type(i) is not int for i in token_to_id.values()):
-            raise InvalidConfigError(f"{path}: token_to_id must map tokens to integer ids")
+            raise ValidationError(f"{path}: token_to_id must map tokens to integer ids")
         if type(vocab_size) is not int:
-            raise InvalidConfigError(f"{path}: vocab_size must be an integer")
+            raise ValidationError(f"{path}: vocab_size must be an integer")
         try:
             return cls(token_to_id=token_to_id, vocab_size=vocab_size)
-        except InvalidConfigError as exc:
-            raise InvalidConfigError(f"{path}: {exc}") from None
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +356,13 @@ class Batch:
         self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
         self.attention_mask = np.asarray(self.attention_mask, dtype=bool)
         if self.token_ids.shape != self.attention_mask.shape or self.token_ids.ndim != 2:
-            raise InvalidConfigError("token_ids and attention_mask must both be (batch, T)")
+            raise ValidationError("token_ids and attention_mask must both be (batch, T)")
         if (~self.attention_mask[:, :-1] & self.attention_mask[:, 1:]).any():
-            raise InvalidConfigError("real token after padding")
+            raise ValidationError("real token after padding")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (len(self.token_ids),):
-                raise InvalidConfigError("labels must be one per example")
+                raise ValidationError("labels must be one per example")
 
     def __len__(self) -> int:
         return len(self.token_ids)
@@ -388,7 +380,7 @@ def encode(line: str, vocab: TokenizerVocab, max_len: int) -> tuple[np.ndarray, 
     """[CLS] + tokens + [SEP], truncated to `max_len` and padded to exactly
     `max_len`; returns (ids, mask) row vectors."""
     if max_len < 2:
-        raise InvalidConfigError("max_len must be >= 2")
+        raise ValidationError("max_len must be >= 2")
     body = [vocab.id_for(tok) for tok in line.split()[:max_len - 2]]
     ids = [vocab.cls_id] + body + [vocab.sep_id]
     real = len(ids)
@@ -449,7 +441,7 @@ def write_labeled(path, rows: Iterable[tuple[str, int, str]]) -> None:
 
 def read_labeled(path) -> list[tuple[str, int, str]]:
     """Read `lang<TAB>label<TAB>text` lines; a malformed line raises
-    InvalidConfigError naming the file and the line."""
+    ValidationError naming the file and the line."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -460,6 +452,6 @@ def read_labeled(path) -> list[tuple[str, int, str]]:
                 lang, label, text = line.split("\t", 2)
                 out.append((lang, int(label), text))
             except ValueError:
-                raise InvalidConfigError(
+                raise ValidationError(
                     f"{path}: line {lineno} is not lang<TAB>integer label<TAB>text") from None
     return out

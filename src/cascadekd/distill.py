@@ -27,15 +27,7 @@ import numpy as np
 
 from .corpus import Batch
 from .encoder import EncoderModel, ForwardTrace, ModelConfig
-from .errors import (
-    DataExhaustedError,
-    DepthMismatchError,
-    DimensionMismatchError,
-    HeadCountMismatchError,
-    InvalidConfigError,
-    NonFiniteLossError,
-    TeacherTooShallowError,
-)
+from .errors import DataExhaustedError, NonFiniteLossError, ValidationError
 from .tensor import Tensor, mse, no_grad
 from .training import (
     Adam,
@@ -56,9 +48,9 @@ class LayerMapSpec:
 
     def __post_init__(self):
         if self.student_depth < 1:
-            raise InvalidConfigError("student_depth must be >= 1")
+            raise ValidationError("student_depth must be >= 1")
         if self.teacher_depth != self.student_depth + 1:
-            raise DepthMismatchError(
+            raise ValidationError(
                 f"teacher depth {self.teacher_depth} must be student depth "
                 f"{self.student_depth} + 1")
 
@@ -74,7 +66,7 @@ def top_layer_init(teacher: EncoderModel) -> EncoderModel:
     the teacher (they are never updated), otherwise copied.
     """
     if teacher.num_layers < 2:
-        raise TeacherTooShallowError(
+        raise ValidationError(
             f"teacher with {teacher.num_layers} layer(s) cannot be shrunk")
     config = teacher.config.with_layers(teacher.num_layers - 1)
     student = EncoderModel(config, seed=None, embeddings_frozen=teacher.embeddings_frozen)
@@ -98,21 +90,21 @@ def _check_pair(teacher: ForwardTrace, student: ForwardTrace) -> tuple[np.ndarra
     attention terms (query x key) and of the hidden terms."""
     LayerMapSpec.for_traces(teacher, student)
     if (len(teacher.hidden), len(student.hidden)) != (teacher.depth + 1, student.depth + 1):
-        raise DepthMismatchError("a trace needs one more hidden output than attention layers")
+        raise ValidationError("a trace needs one more hidden output than attention layers")
     mask = student.attention_mask
     if teacher.attention_mask.shape != mask.shape or \
             not np.array_equal(teacher.attention_mask, mask):
-        raise DimensionMismatchError("teacher and student traces come from different batches")
+        raise ValidationError("teacher and student traces come from different batches")
     a_shape, h_shape = student.attentions[0].shape, student.hidden[0].shape
     if teacher.attentions[0].shape[1] != a_shape[1]:
-        raise HeadCountMismatchError(
+        raise ValidationError(
             f"student has {a_shape[1]} heads, teacher has {teacher.attentions[0].shape[1]}")
     for a in teacher.attentions + student.attentions:
         if a.shape != a_shape:
-            raise DimensionMismatchError(f"attention shapes differ: {a_shape} vs {a.shape}")
+            raise ValidationError(f"attention shapes differ: {a_shape} vs {a.shape}")
     for h in teacher.hidden + student.hidden:
         if h.shape != h_shape:
-            raise DimensionMismatchError(f"hidden shapes differ: {h_shape} vs {h.shape}")
+            raise ValidationError(f"hidden shapes differ: {h_shape} vs {h.shape}")
     return mask[:, None, :, None] & mask[:, None, None, :], mask[:, :, None]
 
 
@@ -164,7 +156,7 @@ class DistillStagePlan:
     def __post_init__(self):
         LayerMapSpec(student_depth=self.student_depth, teacher_depth=self.teacher_depth)
         if self.steps < 1:
-            raise InvalidConfigError("steps must be >= 1")
+            raise ValidationError("steps must be >= 1")
         self.schedule()  # a bad warmup_steps fails here, not mid-cascade
 
     def schedule(self) -> ScheduleConfig:
@@ -183,16 +175,16 @@ class CascadePlan:
 
     def __post_init__(self):
         if self.end_depth < 1 or self.start_depth < self.end_depth:
-            raise InvalidConfigError(
+            raise ValidationError(
                 f"bad cascade depths {self.start_depth} -> {self.end_depth}")
         if len(self.stages) != self.start_depth - self.end_depth:
-            raise InvalidConfigError(
+            raise ValidationError(
                 f"{len(self.stages)} stages cannot take {self.start_depth} "
                 f"layers to {self.end_depth}")
         depth = self.start_depth
         for stage in self.stages:
             if stage.teacher_depth != depth or stage.student_depth != depth - 1:
-                raise InvalidConfigError("stages do not chain depths exactly")
+                raise ValidationError("stages do not chain depths exactly")
             depth -= 1
 
     @property
@@ -279,7 +271,7 @@ def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterat
       micro-batch belongs to.
     """
     if teacher.num_layers != plan.teacher_depth:
-        raise DepthMismatchError(
+        raise ValidationError(
             f"teacher has {teacher.num_layers} layers, plan expects {plan.teacher_depth}")
     student = top_layer_init(teacher)
     optimizer = Adam(student.trainable_parameters(), plan.optimizer)
@@ -373,7 +365,7 @@ def run_cascade(plan: CascadePlan, teacher: EncoderModel, data_stream: Iterable[
     `batch_range` on each result is the slice the plan assigns it.
     """
     if teacher.num_layers != plan.start_depth:
-        raise DepthMismatchError(
+        raise ValidationError(
             f"teacher has {teacher.num_layers} layers, plan starts at {plan.start_depth}")
     stream = iter(data_stream)
     seed_rng = np.random.default_rng(seed)

@@ -37,12 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidConfigError,
-    SequenceTooLongError,
-    TokenOutOfRangeError,
-)
+from .errors import ValidationError
 from .tensor import (
     Tensor,
     attention_context,
@@ -81,16 +76,16 @@ class ModelConfig:
     def __post_init__(self):
         if self.vocab_size <= 0 or self.hidden_dim <= 0 or self.num_heads <= 0 \
                 or self.ffn_dim <= 0 or self.max_seq_len <= 0:
-            raise InvalidConfigError("all model extents must be positive")
+            raise ValidationError("all model extents must be positive")
         if self.num_layers < 0:
-            raise InvalidConfigError("num_layers must be >= 0")
+            raise ValidationError("num_layers must be >= 0")
         if self.hidden_dim % self.num_heads != 0:
-            raise InvalidConfigError(
+            raise ValidationError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise InvalidConfigError("dropout_rate must lie in [0, 1)")
+            raise ValidationError("dropout_rate must lie in [0, 1)")
         if self.attention_capture not in CAPTURE_MODES:
-            raise InvalidConfigError(f"unknown attention_capture {self.attention_capture!r}")
+            raise ValidationError(f"unknown attention_capture {self.attention_capture!r}")
 
     @property
     def head_dim(self) -> int:
@@ -244,18 +239,18 @@ class EncoderModel:
         token_ids = np.asarray(token_ids, dtype=np.int64)
         mask = np.asarray(attention_mask, dtype=bool)
         if token_ids.ndim != 2:
-            raise DimensionMismatchError(f"token_ids must be (batch, T), got {token_ids.shape}")
+            raise ValidationError(f"token_ids must be (batch, T), got {token_ids.shape}")
         if mask.shape != token_ids.shape:
-            raise DimensionMismatchError(
+            raise ValidationError(
                 f"attention_mask shape {mask.shape} != token_ids shape {token_ids.shape}")
         batch, seq_len = token_ids.shape
         if seq_len == 0:
-            raise DimensionMismatchError("token_ids must have at least one position")
+            raise ValidationError("token_ids must have at least one position")
         if seq_len > self.config.max_seq_len:
-            raise SequenceTooLongError(
+            raise ValidationError(
                 f"sequence length {seq_len} exceeds max {self.config.max_seq_len}")
         if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= self.config.vocab_size):
-            raise TokenOutOfRangeError("token id outside [0, vocab_size)")
+            raise ValidationError("token id outside [0, vocab_size)")
 
         width = _computed_width(mask)
         token_ids, mask = token_ids[:, :width], mask[:, :width]
@@ -328,7 +323,7 @@ class ClassifierHead:
 
     def __init__(self, hidden_dim: int, num_classes: int, seed: Optional[int] = None):
         if num_classes < 2:
-            raise InvalidConfigError("need at least 2 output classes")
+            raise ValidationError("need at least 2 output classes")
         self.hidden_dim = hidden_dim
         self.num_classes = num_classes
         rng = np.random.default_rng(seed) if seed is not None else None
@@ -359,7 +354,7 @@ def classify(model: EncoderModel, head: ClassifierHead, token_ids, attention_mas
     products run over fewer rows; dropout draws the same masks.
     """
     if head.hidden_dim != model.config.hidden_dim:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"head dim {head.hidden_dim} != model hidden dim {model.config.hidden_dim}")
     x, mask, drop = model._embed(token_ids, attention_mask, training_mode, dropout_seed)
     for i, layer in enumerate(model.layers):

@@ -1,8 +1,21 @@
-"""Exception types raised by the library.
+"""Exception types raised by the library: one class per way a caller reacts.
 
-Every contract violation maps to a distinct class so callers (and the CLI
-exit-code logic) can tell configuration mistakes apart from runtime/numeric
-failures.
+The message says what went wrong; the class says only what to do about it.
+
+- ``CascadeKDError``: base of every library error.
+- ``ValidationError``: bad inputs, configuration or files, detected before
+  the work they describe is done. The CLI exits 1 on it.
+- ``NumericError``: a runtime numeric failure (non-finite values, a
+  checkpoint whose bytes do not match their digest).
+- ``NonFiniteLossError``: a loss that is NaN or infinite.
+- ``DataExhaustedError``: a batch stream that ran dry mid-stage.
+
+The CLI exits 1 on ``ValidationError`` and 2 on every other
+``CascadeKDError``. Only the last two are caught by type, both by
+``run_stage``: it re-raises a ``NonFiniteLossError`` with the stage and step
+that hit it, since only the stage loop knows where it is, and holds a
+``DataExhaustedError`` from prefetching the next step's batch until the
+current step is done.
 """
 
 
@@ -18,113 +31,9 @@ class NumericError(CascadeKDError):
     """Runtime numeric failure (non-finite values, digest mismatch, ...)."""
 
 
-# --- tensor ops ---------------------------------------------------------
-
-class ShapeMismatchError(ValidationError):
-    pass
-
-
-class EmptyTensorError(ValidationError):
-    pass
-
-
-class AllMaskedError(ValidationError):
-    pass
-
-
-class LabelOutOfRangeError(ValidationError):
-    pass
-
-
-class NonScalarLossError(ValidationError):
-    pass
-
-
 class NonFiniteLossError(NumericError):
-    pass
-
-
-# --- encoder ------------------------------------------------------------
-
-class InvalidConfigError(ValidationError):
-    pass
-
-
-class TokenOutOfRangeError(ValidationError):
-    pass
-
-
-class SequenceTooLongError(ValidationError):
-    pass
-
-
-class DimensionMismatchError(ValidationError):
-    pass
-
-
-# --- distillation -------------------------------------------------------
-
-class TeacherTooShallowError(ValidationError):
-    pass
-
-
-class HeadCountMismatchError(ValidationError):
-    pass
-
-
-class DepthMismatchError(ValidationError):
-    pass
+    """A loss that is NaN or infinite."""
 
 
 class DataExhaustedError(CascadeKDError):
-    pass
-
-
-# --- corpus -------------------------------------------------------------
-
-class EmptyTableError(ValidationError):
-    pass
-
-
-class NonPositiveSizeError(ValidationError):
-    pass
-
-
-class DegenerateRatioError(ValidationError):
-    pass
-
-
-class InvalidTargetError(ValidationError):
-    pass
-
-
-class InvalidDistributionError(ValidationError):
-    pass
-
-
-class InvalidSpecError(ValidationError):
-    pass
-
-
-# --- training -----------------------------------------------------------
-
-class StepOutOfRangeError(ValidationError):
-    pass
-
-
-class EmptyEvalSetError(ValidationError):
-    pass
-
-
-# --- persistence --------------------------------------------------------
-
-class DigestMismatchError(NumericError):
-    pass
-
-
-class VersionMismatchError(ValidationError):
-    pass
-
-
-class InconsistentColumnsError(ValidationError):
-    pass
+    """A batch stream ran out before a stage finished."""

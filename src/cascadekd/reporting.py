@@ -15,7 +15,7 @@ import json
 import warnings
 from typing import Mapping, Optional, Sequence
 
-from .errors import InconsistentColumnsError, InvalidConfigError
+from .errors import ValidationError
 
 AVG_COLUMN = "AVG"
 AVG_TOLERANCE = 1e-9
@@ -51,7 +51,7 @@ def read_metrics(path) -> list[dict]:
             try:
                 records.append(json.loads(line))
             except json.JSONDecodeError:
-                raise InvalidConfigError(
+                raise ValidationError(
                     f"{path}: line {lineno} is not valid JSON") from None
     return records
 
@@ -67,11 +67,11 @@ def emit_report(rows: Sequence[tuple[str, Mapping[str, float]]],
     value is printed either way).
     """
     if not rows or not rows[0][1]:
-        raise InvalidConfigError("no accuracies to report")
+        raise ValidationError("no accuracies to report")
     languages = list(rows[0][1])
     for label, accs in rows:
         if set(accs) != set(languages):
-            raise InconsistentColumnsError(
+            raise ValidationError(
                 f"row {label!r} covers {sorted(accs)}, expected {sorted(languages)}")
 
     header = ["model"] + languages + [AVG_COLUMN]

@@ -41,14 +41,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import erf
 
-from .errors import (
-    AllMaskedError,
-    EmptyTensorError,
-    LabelOutOfRangeError,
-    NonFiniteLossError,
-    NonScalarLossError,
-    ShapeMismatchError,
-)
+from .errors import NonFiniteLossError, ValidationError
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -94,10 +87,6 @@ def no_grad():
         _grad_mode.enabled = prev
 
 
-def is_grad_enabled() -> bool:
-    return _grad_mode.enabled
-
-
 class Tensor:
     """A dense float64 array plus optional gradient tracking."""
 
@@ -131,15 +120,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # -- gradient management --------------------------------------------
-
-    def detach(self) -> "Tensor":
-        """A view of the same data cut off from any graph."""
-        return Tensor(self.data)
-
-    def backward(self) -> None:
-        backward(self)
 
     # -- operator sugar --------------------------------------------------
 
@@ -225,7 +205,7 @@ def backward(loss: Tensor) -> None:
     does that), so a sum of losses equals the sum of per-loss gradients.
     """
     if loss.numel != 1:
-        raise NonScalarLossError(f"backward needs a scalar loss, got shape {loss.shape}")
+        raise ValidationError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not np.isfinite(loss.data).all():
         raise NonFiniteLossError("loss is not finite")
 
@@ -513,7 +493,7 @@ class GatherRows(Function):
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """`x @ w + b` for a (d_in, d_out) weight and a (d_out,) bias."""
     if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
-        raise ShapeMismatchError(
+        raise ValidationError(
             f"linear shapes do not fit: x {x.shape}, w {w.shape}, b {b.shape}")
     return Linear.apply(x, w, b)
 
@@ -526,7 +506,7 @@ def attention_scores(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     d = x.shape[-1]
     if x.ndim != 3 or heads < 1 or d % heads or not isinstance(rows, slice) or \
             any(w.shape != (d, d) for w in (wq, wk)) or any(b.shape != (d,) for b in (bq, bk)):
-        raise ShapeMismatchError(
+        raise ValidationError(
             f"attention_scores shapes do not fit: x {x.shape}, {heads} heads, rows {rows}, "
             f"wq {wq.shape}, bq {bq.shape}, wk {wk.shape}, bk {bk.shape}")
     return AttentionScores.apply(x, wq, bq, wk, bk, heads=heads, rows=rows)
@@ -538,7 +518,7 @@ def attention_context(probs: Tensor, v: Tensor, heads: int) -> Tensor:
     if v.ndim != 3 or heads < 1 or v.shape[-1] % heads or probs.ndim != 4 or \
             probs.shape[:2] != (v.shape[0], heads) or probs.shape[3] != v.shape[1] or \
             probs.shape[2] > v.shape[1]:
-        raise ShapeMismatchError(
+        raise ValidationError(
             f"attention_context shapes do not fit: probs {probs.shape}, v {v.shape}, "
             f"{heads} heads")
     return AttentionContext.apply(probs, v, heads=heads)
@@ -551,7 +531,7 @@ def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor,
     d = x.shape[-1]
     if w_in.ndim != 2 or w_in.shape[0] != d or b_in.shape != w_in.shape[1:] or \
             w_out.shape != (w_in.shape[1], d) or b_out.shape != (d,):
-        raise ShapeMismatchError(
+        raise ValidationError(
             f"feed_forward shapes do not fit: x {x.shape}, w_in {w_in.shape}, "
             f"b_in {b_in.shape}, w_out {w_out.shape}, b_out {b_out.shape}")
     return FeedForward.apply(x, w_in, b_in, w_out, b_out)
@@ -560,7 +540,7 @@ def feed_forward(x: Tensor, w_in: Tensor, b_in: Tensor, w_out: Tensor,
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     """Normalize over the last axis, then scale by `gain` and shift by `bias`."""
     if gain.shape != x.shape[-1:] or bias.shape != gain.shape:
-        raise ShapeMismatchError(
+        raise ValidationError(
             f"layer_norm shapes do not fit: x {x.shape}, gain {gain.shape}, bias {bias.shape}")
     return LayerNorm.apply(x, gain, bias, eps=eps)
 
@@ -581,7 +561,7 @@ class SoftmaxRows(Function):
         if mask is not None:
             keep = np.broadcast_to(mask, x.shape)
             if not keep.any(axis=-1).all():
-                raise AllMaskedError("softmax row with every entry masked")
+                raise ValidationError("softmax row with every entry masked")
             shifted = np.where(keep, x, -np.inf)
         else:
             shifted = x
@@ -613,19 +593,19 @@ class Mse(Function):
 
     def forward(self, x, y, include):
         if x.shape != y.shape:
-            raise ShapeMismatchError(f"mse shapes differ: {x.shape} vs {y.shape}")
+            raise ValidationError(f"mse shapes differ: {x.shape} vs {y.shape}")
         if x.size == 0:
-            raise EmptyTensorError("mse of empty tensors")
+            raise ValidationError("mse of empty tensors")
         self.diff = x - y
         self.n = x.size
         if include is not None:
             try:
                 include = np.broadcast_to(np.asarray(include, dtype=bool), x.shape)
             except ValueError:
-                raise ShapeMismatchError(f"mse mask does not broadcast to {x.shape}") from None
+                raise ValidationError(f"mse mask does not broadcast to {x.shape}") from None
             self.n = int(np.count_nonzero(include))
             if self.n == 0:
-                raise AllMaskedError("mse with every element excluded")
+                raise ValidationError("mse with every element excluded")
             self.diff = np.where(include, self.diff, 0.0)
         return np.asarray((self.diff * self.diff).sum() / self.n)
 
@@ -660,12 +640,12 @@ class CrossEntropy(Function):
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     labels = np.asarray(labels)
     if logits.ndim != 2:
-        raise ShapeMismatchError(f"logits must be (batch, classes), got {logits.shape}")
+        raise ValidationError(f"logits must be (batch, classes), got {logits.shape}")
     num_classes = logits.shape[-1]
     if num_classes < 2:
-        raise ShapeMismatchError(f"need at least 2 classes, got {num_classes}")
+        raise ValidationError(f"need at least 2 classes, got {num_classes}")
     if labels.shape != (logits.shape[0],):
-        raise ShapeMismatchError(f"labels shape {labels.shape} does not match batch {logits.shape[0]}")
+        raise ValidationError(f"labels shape {labels.shape} does not match batch {logits.shape[0]}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise LabelOutOfRangeError(f"labels must lie in [0, {num_classes})")
+        raise ValidationError(f"labels must lie in [0, {num_classes})")
     return CrossEntropy.apply(logits, labels=labels.astype(np.int64))

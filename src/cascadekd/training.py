@@ -24,14 +24,7 @@ import numpy as np
 
 from .corpus import Batch
 from .encoder import ClassifierHead, EncoderModel, classify
-from .errors import (
-    EmptyEvalSetError,
-    InvalidConfigError,
-    LabelOutOfRangeError,
-    NonFiniteLossError,
-    ShapeMismatchError,
-    StepOutOfRangeError,
-)
+from .errors import NonFiniteLossError, ValidationError
 from .tensor import Tensor, backward, cross_entropy, no_grad
 
 # ---------------------------------------------------------------------------
@@ -53,17 +46,17 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.peak_lr < 0:
-            raise InvalidConfigError("peak_lr must be >= 0")
+            raise ValidationError("peak_lr must be >= 0")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise InvalidConfigError("betas must lie in [0, 1)")
+            raise ValidationError("betas must lie in [0, 1)")
         if self.epsilon <= 0:
-            raise InvalidConfigError("epsilon must be > 0")
+            raise ValidationError("epsilon must be > 0")
         if self.weight_decay < 0:
-            raise InvalidConfigError("weight_decay must be >= 0")
+            raise ValidationError("weight_decay must be >= 0")
         if self.batch_size < 1 or self.micro_batch_size < 1:
-            raise InvalidConfigError("batch sizes must be >= 1")
+            raise ValidationError("batch sizes must be >= 1")
         if self.batch_size % self.micro_batch_size != 0:
-            raise InvalidConfigError(
+            raise ValidationError(
                 f"batch_size {self.batch_size} not divisible by "
                 f"micro_batch_size {self.micro_batch_size}")
 
@@ -79,16 +72,16 @@ class ScheduleConfig:
 
     def __post_init__(self):
         if self.total_steps < 1:
-            raise InvalidConfigError("total_steps must be >= 1")
+            raise ValidationError("total_steps must be >= 1")
         if not 0 <= self.warmup_steps <= self.total_steps:
-            raise InvalidConfigError(
+            raise ValidationError(
                 f"warmup_steps {self.warmup_steps} outside [0, {self.total_steps}]")
 
 
 def lr_at(schedule: ScheduleConfig, peak_lr: float, step: int) -> float:
     """Learning rate at an integer step of the schedule."""
     if not 0 <= step <= schedule.total_steps:
-        raise StepOutOfRangeError(
+        raise ValidationError(
             f"step {step} outside [0, {schedule.total_steps}]")
     warmup, total = schedule.warmup_steps, schedule.total_steps
     if warmup > 0 and step <= warmup:
@@ -114,7 +107,7 @@ class Adam:
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
         if len(self.m) != len(self.params):
-            raise InvalidConfigError("duplicate parameter names")
+            raise ValidationError("duplicate parameter names")
 
     def step(self, lr: float) -> None:
         config = self.config
@@ -125,7 +118,7 @@ class Adam:
         for name, p in self.params:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if g.shape != p.data.shape:
-                raise ShapeMismatchError(
+                raise ValidationError(
                     f"gradient shape {g.shape} != parameter {name!r} shape {p.data.shape}")
             if config.weight_decay != 0.0:
                 g = g + config.weight_decay * p.data
@@ -160,7 +153,7 @@ def accumulate_and_step(loss_fn: Callable[[Batch], Tensor],
     """
     micros = list(micro_batches)
     if not micros:
-        raise InvalidConfigError("no micro-batches to accumulate")
+        raise ValidationError("no micro-batches to accumulate")
     total_examples = sum(len(m) for m in micros)
     optimizer.zero_grad()
     total = 0.0
@@ -194,16 +187,16 @@ class FineTuneConfig:
 
     def __post_init__(self):
         if self.epochs < 0:
-            raise InvalidConfigError("epochs must be >= 0")
+            raise ValidationError("epochs must be >= 0")
         if self.num_classes < 2:
-            raise InvalidConfigError("num_classes must be >= 2")
+            raise ValidationError("num_classes must be >= 2")
 
 
 def _check_labels(batch: Batch, num_classes: int) -> np.ndarray:
     if batch.labels is None:
-        raise InvalidConfigError("batch has no labels")
+        raise ValidationError("batch has no labels")
     if len(batch.labels) and not (0 <= batch.labels.min() and batch.labels.max() < num_classes):
-        raise LabelOutOfRangeError(
+        raise ValidationError(
             f"labels outside [0, {num_classes}): "
             f"[{batch.labels.min()}, {batch.labels.max()}]")
     return batch.labels
@@ -216,7 +209,7 @@ def fine_tune(model: EncoderModel, data: Batch,
     batch is kept. With zero epochs the head keeps its random init."""
     _check_labels(data, config.num_classes)
     if len(data) == 0:
-        raise EmptyEvalSetError("no training examples")
+        raise ValidationError("no training examples")
     rng = np.random.default_rng(config.seed)
     head = ClassifierHead(model.config.hidden_dim, config.num_classes,
                           seed=int(rng.integers(2**63)))
@@ -271,7 +264,7 @@ def predict(model: EncoderModel, head: ClassifierHead, batch: Batch) -> np.ndarr
 
 def accuracy(model: EncoderModel, head: ClassifierHead, batch: Batch) -> float:
     if len(batch) == 0:
-        raise EmptyEvalSetError("no examples to score")
+        raise ValidationError("no examples to score")
     labels = _check_labels(batch, head.num_classes)
     return float(np.mean(predict(model, head, batch) == labels))
 
@@ -289,11 +282,11 @@ def zero_shot_eval(model: EncoderModel, head: ClassifierHead,
     """Score the classifier on each language's eval set. The average
     weights every language equally, regardless of set size."""
     if not eval_sets:
-        raise EmptyEvalSetError("no eval sets given")
+        raise ValidationError("no eval sets given")
     per_language = {}
     for lang, batch in eval_sets.items():
         if len(batch) == 0:
-            raise EmptyEvalSetError(f"eval set for {lang!r} is empty")
+            raise ValidationError(f"eval set for {lang!r} is empty")
         per_language[lang] = accuracy(model, head, batch)
     average = sum(per_language.values()) / len(per_language)
     return EvalResult(per_language=per_language, average=average)

@@ -37,7 +37,7 @@ from cascadekd.encoder import (
     init_random,
 )
 from cascadekd.reporting import AVG_COLUMN, MetricsWriter, emit_report
-from cascadekd.tensor import Tensor, no_grad
+from cascadekd.tensor import Tensor, backward, no_grad
 from cascadekd.training import (
     FineTuneConfig,
     OptimizerConfig,
@@ -94,7 +94,7 @@ def test_criterion_1_gradients_match_finite_differences():
     t = teacher.forward(ids, mask)
     s = student.forward(ids, mask)
     loss = total_distill_loss(t, s)
-    loss.backward()
+    backward(loss)
 
     h, tol = 1e-5, 1e-6
     floor = fd_denominator_floor(abs(float(loss.data)), h=h, tol=tol)

@@ -354,6 +354,9 @@ def test_gen_corpus_rejects_a_bad_language_list(tmp_path, capsys, languages):
 @pytest.mark.parametrize("section, key, value", [
     ("pretrain", "micro_batch_size", "5"),
     ("pretrain", "peak_lr", "-1"),
+    ("pretrain", "peak_lr", "nan"),
+    ("pretrain", "peak_lr", "inf"),
+    ("pretrain", "epsilon", "nan"),
     ("finetune", "epochs", "-1"),
     ("finetune", "num_classes", "1"),
     ("cascade", "steps_per_stage", "0"),
@@ -371,6 +374,35 @@ def test_a_bad_section_value_fails_when_the_config_is_parsed(tmp_path, capsys,
     out = tmp_path / "out.ini"
     assert main(["init-config", "--config", str(ini), "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, reason", [
+    (b"peak_lr = 1\n", "no section headers"),
+    (b"[pretrain]\npeak_lr = 1\npeak_lr = 2\n",
+     "option 'peak_lr' in section 'pretrain' already exists"),
+    (b"[pretrain]\npeak_lr = \xff\n", "can't decode byte 0xff")],
+    ids=["no-section-header", "repeated-key", "not-utf-8"])
+def test_an_ini_that_configparser_rejects_exits_one(tmp_path, capsys, text, reason):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(text)
+    out = tmp_path / "out.ini"
+    assert main(["init-config", "--config", str(ini), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ini}: not a valid INI file") and reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, count", [
+    ("--train-examples", "0"), ("--train-examples", "-5"),
+    ("--eval-examples", "0"), ("--eval-examples", "-5")])
+def test_gen_task_rejects_a_count_below_one_before_any_write(pipeline, tmp_path, capsys,
+                                                           flag, count):
+    out = tmp_path / "task"
+    code = main(["gen-task", "--config", str(pipeline["ini"]), "--out", str(out),
+                 "--language", "aa", flag, count])
+    assert code == 1
+    assert f"{flag} must be >= 1, got {count}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -26,15 +26,7 @@ from cascadekd.corpus import (
     write_corpus,
     write_labeled,
 )
-from cascadekd.errors import (
-    DegenerateRatioError,
-    EmptyTableError,
-    InvalidConfigError,
-    InvalidDistributionError,
-    InvalidSpecError,
-    InvalidTargetError,
-    NonPositiveSizeError,
-)
+from cascadekd.errors import ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -44,15 +36,15 @@ from cascadekd.errors import (
 def test_size_distribution():
     probs = size_distribution({"a": 30, "b": 10})
     assert probs == {"a": 0.75, "b": 0.25}
-    with pytest.raises(EmptyTableError):
+    with pytest.raises(ValidationError, match="no languages given"):
         size_distribution({})
-    with pytest.raises(NonPositiveSizeError):
+    with pytest.raises(ValidationError, match="has size 0"):
         size_distribution({"a": 0})
 
 
 @pytest.mark.parametrize("size", [float("nan"), float("inf"), 0.0, -1.0])
 def test_size_distribution_rejects_a_size_that_is_not_finite_and_positive(size):
-    with pytest.raises(NonPositiveSizeError, match="'b'"):
+    with pytest.raises(ValidationError, match="'b'"):
         size_distribution({"a": 10.0, "b": size})
 
 
@@ -79,11 +71,11 @@ def test_solve_exponent_restores_ratio_exactly():
 
 
 def test_solve_exponent_errors():
-    with pytest.raises(InvalidTargetError):
+    with pytest.raises(ValidationError, match="target ratio must be positive"):
         solve_smoothing_exponent(0.8, 0.2, 0.0)
-    with pytest.raises(DegenerateRatioError):
+    with pytest.raises(ValidationError, match="anchor probabilities are equal"):
         solve_smoothing_exponent(0.5, 0.5, 100.0)
-    with pytest.raises(InvalidDistributionError):
+    with pytest.raises(ValidationError, match="anchor probabilities must be positive"):
         solve_smoothing_exponent(0.0, 0.5, 100.0)
 
 
@@ -95,11 +87,11 @@ def test_exponentiate_hand_value():
 
 
 def test_exponentiate_errors():
-    with pytest.raises(InvalidTargetError):
+    with pytest.raises(ValidationError, match="exponent must be positive"):
         exponentiate_distribution({"a": 1.0}, 0.0)
-    with pytest.raises(InvalidDistributionError):
+    with pytest.raises(ValidationError, match="probabilities sum to"):
         exponentiate_distribution({"a": 0.7, "b": 0.2}, 0.5)
-    with pytest.raises(InvalidDistributionError):
+    with pytest.raises(ValidationError, match="empty distribution"):
         exponentiate_distribution({}, 0.5)
 
 
@@ -150,14 +142,14 @@ def four_language_spec(**overrides):
 
 
 def test_corpus_spec_validation():
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(ValidationError, match="needs at least one language"):
         CorpusSpec(languages=())
     solo = CorpusSpec.from_sizes({"solo": 10})
     assert solo.languages[0].alphabet
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(ValidationError, match="distinct character distributions"):
         CorpusSpec(languages=(LanguageSpec("a", 1, alphabet="xy"),
                               LanguageSpec("b", 1, alphabet="xy")))
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(ValidationError, match="duplicate language names"):
         CorpusSpec(languages=(LanguageSpec("a", 1), LanguageSpec("a", 2)))
 
 
@@ -210,7 +202,7 @@ def test_labeled_task_shape():
     assert seen == {0, 1, 2}
     again = generate_labeled_task(spec, "es", 100, seed=9, num_classes=3)
     assert rows == again
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(ValidationError, match="unknown language 'fr'"):
         generate_labeled_task(spec, "fr", 10, seed=0, num_classes=3)
 
 
@@ -237,7 +229,7 @@ def test_vocab_extra_tokens_and_limits():
     assert vocab.id_for("LBL0") == 4
     assert vocab.id_for("x") == 5
     assert vocab.id_for("y") == vocab.unk_id
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="vocab_size 4 too small"):
         TokenizerVocab.build(["x"], vocab_size=4)
 
 
@@ -262,7 +254,7 @@ def test_encode_layout():
     assert ids.tolist() == [vocab.cls_id, vocab.id_for("w1"),
                             vocab.id_for("w2"), vocab.sep_id]
     assert mask.all()
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="max_len must be >= 2"):
         encode("w1", vocab, max_len=1)
 
 
@@ -277,11 +269,11 @@ def test_encode_batch_and_labels():
 def test_batch_validation():
     ids = np.zeros((2, 3), dtype=np.int64)
     holey = np.array([[True, False, True], [True, True, True]])
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="real token after padding"):
         Batch(ids, holey)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="labels must be one per example"):
         Batch(ids, np.ones((2, 3), dtype=bool), labels=[1])
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match=r"must both be \(batch, T\)"):
         Batch(np.zeros((2, 3, 1), dtype=np.int64), np.ones((2, 3, 1), dtype=bool))
 
 

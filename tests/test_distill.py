@@ -31,15 +31,7 @@ from cascadekd.encoder import (
     ModelConfig,
     init_random,
 )
-from cascadekd.errors import (
-    DataExhaustedError,
-    DepthMismatchError,
-    DimensionMismatchError,
-    HeadCountMismatchError,
-    InvalidConfigError,
-    NonFiniteLossError,
-    TeacherTooShallowError,
-)
+from cascadekd.errors import DataExhaustedError, NonFiniteLossError, ValidationError
 from cascadekd.tensor import Tensor, backward, no_grad
 from cascadekd.training import Adam, OptimizerConfig, ScheduleConfig, accumulate_and_step, lr_at
 
@@ -122,19 +114,19 @@ def test_top_layer_init_copies_unfrozen_embeddings():
 
 def test_top_layer_init_rejects_single_layer_teacher():
     teacher = init_random(toy_config(num_layers=1), seed=4)
-    with pytest.raises(TeacherTooShallowError):
+    with pytest.raises(ValidationError, match="cannot be shrunk"):
         top_layer_init(teacher)
 
 
 def test_layer_map_spec_validation():
     LayerMapSpec(student_depth=3, teacher_depth=4)
-    with pytest.raises(DepthMismatchError):
+    with pytest.raises(ValidationError, match=r"teacher depth 5 must be student depth 3 \+ 1"):
         LayerMapSpec(student_depth=3, teacher_depth=5)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="student_depth must be >= 1"):
         LayerMapSpec(student_depth=0, teacher_depth=1)
     rng = np.random.default_rng(0)
     teacher, student, _ = random_trace_pair(rng, n=2)
-    with pytest.raises(DepthMismatchError):
+    with pytest.raises(ValidationError, match=r"teacher depth 2 must be student depth 2 \+ 1"):
         LayerMapSpec.for_traces(student, student)
 
 
@@ -202,23 +194,23 @@ def test_loss_rejects_mismatched_traces():
     fat_teacher, fat_student, _ = random_trace_pair(rng, n=2, heads=4,
                                                     padded=False)
     for loss in (distill_terms, total_distill_loss):
-        with pytest.raises(HeadCountMismatchError):
+        with pytest.raises(ValidationError, match="student has 2 heads, teacher has 4"):
             loss(fat_teacher, student)
     t_hidden, t_attn, s_hidden, s_attn, mask = arrays
     other_mask = np.ones((2, 5), dtype=bool)
     other_mask[0, 2:] = False
     restamped = trace_from_arrays(s_hidden, s_attn, other_mask)
     for loss in (distill_terms, total_distill_loss):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="different batches"):
             loss(teacher, restamped)
     # a hidden output of another width, at the bottom and at the top
     for k in (0, len(t_hidden) - 1):
         wide = list(t_hidden)
         wide[k] = np.zeros((2, 5, 6))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="hidden shapes differ"):
             total_distill_loss(trace_from_arrays(wide, t_attn, mask), student)
     short = trace_from_arrays(t_hidden[:-1], t_attn, mask)
-    with pytest.raises(DepthMismatchError):
+    with pytest.raises(ValidationError, match="one more hidden output than attention layers"):
         total_distill_loss(short, student)
 
 
@@ -335,16 +327,16 @@ def test_cascade_plan_validation():
     opt = optimizer_config()
     steps = dict(steps=3, warmup_steps=1)
     stages = (DistillStagePlan(teacher_depth=3, student_depth=2, optimizer=opt, **steps),)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="cannot take 3 layers to 1"):
         CascadePlan(start_depth=3, end_depth=1, stages=stages)
     wrong = (DistillStagePlan(teacher_depth=2, student_depth=1, optimizer=opt, **steps),)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="do not chain depths exactly"):
         CascadePlan(start_depth=3, end_depth=2, stages=wrong)
-    with pytest.raises(DepthMismatchError):
+    with pytest.raises(ValidationError, match=r"teacher depth 4 must be student depth 2 \+ 1"):
         DistillStagePlan(teacher_depth=4, student_depth=2, optimizer=opt, **steps)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="student_depth must be >= 1"):
         DistillStagePlan(teacher_depth=1, student_depth=0, optimizer=opt, **steps)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="warmup_steps -1 outside"):
         build_cascade_plan(6, 3, opt, steps_per_stage=3, warmup_steps=-1)
 
 
@@ -405,7 +397,7 @@ def test_run_stage_depth_check():
     teacher = init_random(toy_config(num_layers=2), seed=10)
     plan = DistillStagePlan(teacher_depth=3, student_depth=2,
                             optimizer=optimizer_config(), steps=1, warmup_steps=1)
-    with pytest.raises(DepthMismatchError):
+    with pytest.raises(ValidationError, match="teacher has 2 layers, plan expects 3"):
         run_stage(plan, teacher, iter(random_batches(rng, 1)), seed=0)
 
 
@@ -437,7 +429,7 @@ def test_run_cascade_chains_and_slices():
     assert [(s.teacher_depth, s.student_depth) for s in result.stages] \
         == [(3, 2), (2, 1)]
     assert result.stages[0].model.num_layers == 2
-    with pytest.raises(DepthMismatchError):
+    with pytest.raises(ValidationError, match="plan starts at 3"):
         run_cascade(plan, result.final_model, iter(random_batches(rng, 6)),
                     seed=0)
 

@@ -13,13 +13,7 @@ from cascadekd.encoder import (
     classify,
     init_random,
 )
-from cascadekd.errors import (
-    AllMaskedError,
-    DimensionMismatchError,
-    InvalidConfigError,
-    SequenceTooLongError,
-    TokenOutOfRangeError,
-)
+from cascadekd.errors import ValidationError
 from cascadekd.tensor import AttentionScores, Tensor, backward, cross_entropy, mse, no_grad
 
 from oracles import fd_denominator_floor, finite_difference_grad, max_relative_error, total
@@ -41,13 +35,13 @@ def toy_batch(rng, batch=2, seq=4, vocab=16, pad_tail=True):
 
 
 def test_config_validation():
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="not divisible by num_heads"):
         toy_config(hidden_dim=9)  # not divisible by heads
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="dropout_rate must lie in"):
         toy_config(dropout_rate=1.0)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="unknown attention_capture"):
         toy_config(attention_capture="logits")
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="extents must be positive"):
         toy_config(vocab_size=0)
     assert toy_config(num_heads=4).head_dim == 2
 
@@ -153,22 +147,22 @@ def test_an_all_masked_row_still_fails_after_the_padding_cut():
     head = ClassifierHead(8, num_classes=3, seed=1)
     ids = np.ones((2, 4), dtype=np.int64)
     for mask in (np.array([[True, True, False, False], [False] * 4]), np.zeros((2, 4), bool)):
-        with pytest.raises(AllMaskedError):
+        with pytest.raises(ValidationError, match="every entry masked"):
             model.forward(ids, mask)
-        with pytest.raises(AllMaskedError):
+        with pytest.raises(ValidationError, match="every entry masked"):
             classify(model, head, ids, mask)
 
 
 def test_forward_validation():
     model = init_random(toy_config(), seed=0)
     good_mask = np.ones((1, 4), dtype=bool)
-    with pytest.raises(TokenOutOfRangeError):
+    with pytest.raises(ValidationError, match="token id outside"):
         model.forward(np.array([[0, 1, 2, 16]]), good_mask)
-    with pytest.raises(TokenOutOfRangeError):
+    with pytest.raises(ValidationError, match="token id outside"):
         model.forward(np.array([[-1, 1, 2, 3]]), good_mask)
-    with pytest.raises(SequenceTooLongError):
+    with pytest.raises(ValidationError, match="sequence length 5 exceeds max 4"):
         model.forward(np.zeros((1, 5), dtype=int), np.ones((1, 5), dtype=bool))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match="attention_mask shape"):
         model.forward(np.zeros((1, 4), dtype=int), np.ones((2, 4), dtype=bool))
 
 
@@ -176,9 +170,9 @@ def test_a_zero_length_input_is_a_dimension_error():
     model = init_random(toy_config(), seed=0)
     head = ClassifierHead(8, num_classes=3, seed=1)
     ids, mask = np.zeros((2, 0), dtype=int), np.zeros((2, 0), dtype=bool)
-    with pytest.raises(DimensionMismatchError, match="at least one position"):
+    with pytest.raises(ValidationError, match="at least one position"):
         model.forward(ids, mask)
-    with pytest.raises(DimensionMismatchError, match="at least one position"):
+    with pytest.raises(ValidationError, match="at least one position"):
         classify(model, head, ids, mask)
     # A batch of zero rows still runs: `predict` passes an empty eval set through.
     ids, mask = np.zeros((0, 4), dtype=int), np.zeros((0, 4), dtype=bool)
@@ -296,10 +290,10 @@ def test_classifier_head_and_classify():
             score_shapes.append(t.shape)
         stack.extend(t._ctx.parents)
     assert sorted(score_shapes) == [(2, 2, 1, 4), (2, 2, 4, 4)]
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="at least 2 output classes"):
         ClassifierHead(8, num_classes=1)
     wrong = ClassifierHead(16, num_classes=3, seed=1)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match="head dim 16 != model hidden dim 8"):
         classify(model, wrong, ids, mask)
 
 

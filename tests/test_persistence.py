@@ -15,13 +15,7 @@ from cascadekd.checkpoint import (
 )
 from cascadekd.config import default_config, parse_config, write_config
 from cascadekd.encoder import ClassifierHead, ModelConfig, init_random
-from cascadekd.errors import (
-    DigestMismatchError,
-    InconsistentColumnsError,
-    InvalidConfigError,
-    ShapeMismatchError,
-    VersionMismatchError,
-)
+from cascadekd.errors import NumericError, ValidationError
 from cascadekd.reporting import MetricsWriter, emit_report, read_metrics
 
 
@@ -79,7 +73,7 @@ def test_corrupted_weights_fail_digest_check(tmp_path):
     raw = bytearray(weights.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
     weights.write_bytes(bytes(raw))
-    with pytest.raises(DigestMismatchError):
+    with pytest.raises(NumericError, match="digest mismatch for tensor"):
         load_checkpoint(tmp_path / "ckpt")
 
 
@@ -87,7 +81,7 @@ def test_truncated_weights_detected(tmp_path):
     save_checkpoint(tmp_path / "ckpt", tiny_model())
     weights = tmp_path / "ckpt" / WEIGHTS_NAME
     weights.write_bytes(weights.read_bytes()[:-16])
-    with pytest.raises(DigestMismatchError):
+    with pytest.raises(NumericError, match="weights file truncated"):
         load_checkpoint(tmp_path / "ckpt")
 
 
@@ -102,7 +96,7 @@ def test_version_mismatch_rejected(tmp_path):
     save_checkpoint(tmp_path / "ckpt", tiny_model())
     _edit_manifest(tmp_path / "ckpt",
                    lambda m: m.__setitem__("format_version", 99))
-    with pytest.raises(VersionMismatchError):
+    with pytest.raises(ValidationError, match="checkpoint format 99"):
         load_checkpoint(tmp_path / "ckpt")
 
 
@@ -110,14 +104,14 @@ def test_unknown_tensor_name_rejected(tmp_path):
     save_checkpoint(tmp_path / "ckpt", tiny_model())
     _edit_manifest(tmp_path / "ckpt",
                    lambda m: m["tensors"][0].__setitem__("name", "nonsense"))
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="unknown tensor 'nonsense'"):
         load_checkpoint(tmp_path / "ckpt")
 
 
 def test_missing_tensor_rejected(tmp_path):
     save_checkpoint(tmp_path / "ckpt", tiny_model())
     _edit_manifest(tmp_path / "ckpt", lambda m: m["tensors"].pop())
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="checkpoint missing tensors"):
         load_checkpoint(tmp_path / "ckpt")
 
 
@@ -130,7 +124,7 @@ def test_shape_mismatch_rejected(tmp_path):
         record["shape"] = record["shape"][::-1]
 
     _edit_manifest(tmp_path / "ckpt", flip_shape)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match=r"has shape \(8, 16\), expected \(16, 8\)"):
         load_checkpoint(tmp_path / "ckpt")
 
 
@@ -147,7 +141,7 @@ def test_byte_count_that_does_not_fit_the_shape_rejected(tmp_path, delta):
         record["sha256"] = hashlib.sha256(blob).hexdigest()
 
     _edit_manifest(tmp_path / "ckpt", resize)
-    with pytest.raises(InvalidConfigError, match="bytes"):
+    with pytest.raises(ValidationError, match="bytes"):
         load_checkpoint(tmp_path / "ckpt")
 
 
@@ -159,12 +153,40 @@ def test_byte_count_that_does_not_fit_the_shape_rejected(tmp_path, delta):
 def test_missing_manifest_field_rejected(tmp_path, field, mutate):
     save_checkpoint(tmp_path / "ckpt", tiny_model())
     _edit_manifest(tmp_path / "ckpt", mutate)
-    with pytest.raises(InvalidConfigError, match=field):
+    with pytest.raises(ValidationError, match=field):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def _set_field(key, value, in_first_tensor=False):
+    def mutate(manifest):
+        (manifest["tensors"][0] if in_first_tensor else manifest)[key] = value
+        return manifest
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (lambda m: [m], "not a JSON object"),
+    (_set_field("offset", "0", in_first_tensor=True), "offset of 'token_embeddings'"),
+    (_set_field("offset", -8, in_first_tensor=True), "offset of 'token_embeddings'"),
+    (_set_field("nbytes", 1024.0, in_first_tensor=True), "nbytes of 'token_embeddings'"),
+    (_set_field("nbytes", True, in_first_tensor=True), "nbytes of 'token_embeddings'"),
+    (_set_field("stage_index", "1"), "stage_index must be a non-negative integer"),
+    (_set_field("stage_index", False), "stage_index must be a non-negative integer"),
+    (_set_field("step_count", -1), "step_count must be a non-negative integer"),
+    (_set_field("embeddings_frozen", "false"), "embeddings_frozen must be true or false"),
+    (_set_field("embeddings_frozen", 0), "embeddings_frozen must be true or false"),
+], ids=["list", "string-offset", "negative-offset", "float-nbytes", "bool-nbytes",
+        "string-stage", "bool-stage", "negative-steps", "string-frozen", "int-frozen"])
+def test_corrupted_manifest_contents_rejected(tmp_path, mutate, match):
+    save_checkpoint(tmp_path / "ckpt", tiny_model(), stage_index=1, step_count=9)
+    path = tmp_path / "ckpt" / MANIFEST_NAME
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    with pytest.raises(ValidationError, match=match):
         load_checkpoint(tmp_path / "ckpt")
 
 
 def test_missing_manifest_rejected(tmp_path):
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="no checkpoint manifest"):
         load_checkpoint(tmp_path / "nothing_here")
 
 
@@ -196,7 +218,7 @@ def test_metrics_writer_starts_fresh_file(tmp_path):
 def test_metrics_reader_reports_bad_line(tmp_path):
     path = tmp_path / "metrics.jsonl"
     path.write_text('{"step": 0}\nnot json\n')
-    with pytest.raises(InvalidConfigError, match="line 2"):
+    with pytest.raises(ValidationError, match="line 2"):
         read_metrics(path)
 
 
@@ -220,7 +242,7 @@ def test_report_average_is_exact_mean():
 
 def test_report_rejects_inconsistent_columns():
     rows = [("a", {"en": 0.5, "es": 0.5}), ("b", {"en": 0.5, "de": 0.5})]
-    with pytest.raises(InconsistentColumnsError):
+    with pytest.raises(ValidationError, match="row 'b' covers"):
         emit_report(rows)
 
 
@@ -234,9 +256,9 @@ def test_report_warns_on_average_disagreement():
 
 
 def test_report_requires_rows():
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="no accuracies to report"):
         emit_report([])
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="no accuracies to report"):
         emit_report([("a", {})])
 
 
@@ -264,21 +286,21 @@ def test_config_partial_file_keeps_defaults(tmp_path):
 def test_config_rejects_unknown_section(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[surprise]\nx = 1\n")
-    with pytest.raises(InvalidConfigError, match="unknown section"):
+    with pytest.raises(ValidationError, match="unknown section"):
         parse_config(path)
 
 
 def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[cascade]\nbogus = 1\n")
-    with pytest.raises(InvalidConfigError, match="unknown key"):
+    with pytest.raises(ValidationError, match="unknown key"):
         parse_config(path)
 
 
 def test_config_rejects_bad_value(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[cascade]\nsteps_per_stage = banana\n")
-    with pytest.raises(InvalidConfigError, match="not a valid int"):
+    with pytest.raises(ValidationError, match="not a valid int"):
         parse_config(path)
 
 
@@ -291,7 +313,7 @@ def test_config_bool_coercion(tmp_path):
 
 
 def test_config_missing_file(tmp_path):
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValidationError, match="cannot read config file"):
         parse_config(tmp_path / "absent.ini")
 
 
@@ -299,7 +321,7 @@ def test_config_cross_field_validation(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[model]\nnum_layers = 4\n")
     # cascade still starts at depth 6
-    with pytest.raises(InvalidConfigError, match="cascade"):
+    with pytest.raises(ValidationError, match="cascade"):
         parse_config(path)
 
 

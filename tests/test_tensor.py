@@ -16,14 +16,7 @@ import pytest
 from scipy.special import erf
 
 import cascadekd
-from cascadekd.errors import (
-    AllMaskedError,
-    EmptyTensorError,
-    LabelOutOfRangeError,
-    NonFiniteLossError,
-    NonScalarLossError,
-    ShapeMismatchError,
-)
+from cascadekd.errors import NonFiniteLossError, ValidationError
 from cascadekd import distill
 from cascadekd.tensor import (
     Tensor,
@@ -33,7 +26,6 @@ from cascadekd.tensor import (
     cross_entropy,
     feed_forward,
     gather_rows,
-    is_grad_enabled,
     layer_norm,
     linear,
     mse,
@@ -122,7 +114,7 @@ def test_softmax_masked_entries_are_exact_zeros():
 
 def test_softmax_all_masked_row_raises():
     mask = np.zeros((1, 3), dtype=bool)
-    with pytest.raises(AllMaskedError):
+    with pytest.raises(ValidationError, match="every entry masked"):
         softmax_rows(Tensor(np.ones((1, 3))), mask=mask)
 
 
@@ -130,13 +122,13 @@ def test_mse_values_and_errors():
     assert mse(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).item() == 0.0
     assert mse(Tensor([3.0]), Tensor([0.0])).item() == 9.0
     assert np.isclose(mse(Tensor([[1.0, 3.0]]), Tensor([[0.0, 0.0]])).item(), 5.0)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="mse shapes differ"):
         mse(Tensor([1.0, 2.0]), Tensor([[1.0, 2.0]]))
-    with pytest.raises(EmptyTensorError):
+    with pytest.raises(ValidationError, match="mse of empty tensors"):
         mse(Tensor(np.zeros((0, 2))), Tensor(np.zeros((0, 2))))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="mse mask does not broadcast"):
         mse(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), include=np.ones(2, dtype=bool))
-    with pytest.raises(AllMaskedError):
+    with pytest.raises(ValidationError, match="every element excluded"):
         mse(Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 3))), include=np.zeros((2, 1), dtype=bool))
 
 
@@ -172,15 +164,15 @@ def test_cross_entropy_equals_log_sum_exp_form():
 
 
 def test_cross_entropy_errors():
-    with pytest.raises(LabelOutOfRangeError):
+    with pytest.raises(ValidationError, match=r"labels must lie in \[0, 3\)"):
         cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
-    with pytest.raises(LabelOutOfRangeError):
+    with pytest.raises(ValidationError, match=r"labels must lie in \[0, 3\)"):
         cross_entropy(Tensor(np.zeros((2, 3))), np.array([-1, 0]))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="at least 2 classes"):
         cross_entropy(Tensor(np.zeros((2, 1))), np.array([0, 0]))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match=r"logits must be \(batch, classes\)"):
         cross_entropy(Tensor(np.zeros(3)), np.array([0]))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="does not match batch 2"):
         cross_entropy(Tensor(np.zeros((2, 3))), np.array([0]))
 
 
@@ -241,46 +233,46 @@ def test_layer_norm_forward_equals_composition():
 
 def test_linear_and_layer_norm_shape_errors():
     x = Tensor(np.zeros((2, 3, 4)))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="linear shapes do not fit"):
         linear(x, Tensor(np.zeros((3, 5))), Tensor(np.zeros(5)))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="linear shapes do not fit"):
         linear(x, Tensor(np.zeros((4, 5))), Tensor(np.zeros(1)))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="linear shapes do not fit"):
         linear(x, Tensor(np.zeros(4)), Tensor(np.zeros(())))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="layer_norm shapes do not fit"):
         layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), 1e-12)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="layer_norm shapes do not fit"):
         layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(1)), 1e-12)
 
 
 def test_fused_encoder_op_shape_errors():
     x = Tensor(np.zeros((2, 3, 4)))
     sq, vec = Tensor(np.zeros((4, 4))), Tensor(np.zeros(4))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="attention_scores shapes do not fit"):
         attention_scores(x, sq, vec, sq, vec, heads=3)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="attention_scores shapes do not fit"):
         attention_scores(x, sq, vec, Tensor(np.zeros((4, 2))), vec, heads=2)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="attention_scores shapes do not fit"):
         attention_scores(Tensor(np.zeros((3, 4))), sq, vec, sq, vec, heads=2)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="attention_scores shapes do not fit"):
         attention_scores(x, sq, vec, sq, vec, heads=2, rows=0)
     probs = Tensor(np.zeros((2, 2, 3, 3)))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="attention_context shapes do not fit"):
         attention_context(probs, x, heads=4)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="attention_context shapes do not fit"):
         attention_context(probs, Tensor(np.zeros((2, 4, 4))), heads=2)
     # Fewer query rows than keys are fine; more, or a key extent that is
     # not T, are not.
     assert attention_context(Tensor(np.zeros((2, 2, 1, 3))), x, heads=2).shape == (2, 1, 4)
     for shape in ((2, 2, 4, 3), (2, 2, 1, 2), (2, 2, 3)):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValidationError, match="attention_context shapes do not fit"):
             attention_context(Tensor(np.zeros(shape)), x, heads=2)
     w_in, b_in, w_out = Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)), Tensor(np.zeros((5, 4)))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="feed_forward shapes do not fit"):
         feed_forward(x, w_in, b_in, Tensor(np.zeros((4, 5))), vec)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="feed_forward shapes do not fit"):
         feed_forward(x, w_in, Tensor(np.zeros(4)), w_out, vec)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValidationError, match="feed_forward shapes do not fit"):
         feed_forward(x, w_in, b_in, w_out, Tensor(np.zeros(5)))
 
 
@@ -297,13 +289,13 @@ def test_gather_rows_forward():
 
 def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    with pytest.raises(NonScalarLossError):
+    with pytest.raises(ValidationError, match="needs a scalar loss"):
         backward(x + x)
 
 
 def test_backward_rejects_nonfinite():
     x = Tensor([np.inf], requires_grad=True)
-    with pytest.raises(NonFiniteLossError):
+    with pytest.raises(NonFiniteLossError, match="loss is not finite"):
         backward(total(x))
 
 
@@ -372,13 +364,16 @@ def test_no_grad_in_one_thread_leaves_another_recording():
     entered, release = threading.Event(), threading.Event()
     seen = {}
 
+    def records():
+        return (Tensor([1.0], requires_grad=True) * 2.0)._ctx is not None
+
     def hold_no_grad():
         with no_grad():
             with no_grad():
                 entered.set()
                 release.wait(timeout=30)
-            seen["inner exit"] = is_grad_enabled()
-        seen["outer exit"] = is_grad_enabled()
+            seen["inner exit"] = records()
+        seen["outer exit"] = records()
 
     holder = threading.Thread(target=hold_no_grad)
     holder.start()
@@ -386,10 +381,10 @@ def test_no_grad_in_one_thread_leaves_another_recording():
         assert entered.wait(timeout=30)
         x = Tensor([1.0], requires_grad=True)
         y = x * 2.0
-        assert is_grad_enabled() and y._ctx is not None
+        assert y._ctx is not None
         with no_grad():
             assert (x * 2.0)._ctx is None
-        assert is_grad_enabled()
+        assert records()
     finally:
         release.set()
         holder.join(timeout=30)
@@ -428,13 +423,6 @@ def test_product_with_a_constant_gives_the_constant_times_upstream():
     c, g = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
     backward(total((x * Tensor(c)) * Tensor(g)))
     assert np.array_equal(x.grad, g * c)
-
-
-def test_detach_cuts_graph():
-    x = Tensor([3.0], requires_grad=True)
-    y = (x * 2.0).detach() * x
-    backward(total(y))
-    assert np.allclose(x.grad, [6.0])
 
 
 def test_gather_rows_backward_accumulates_duplicates():
