@@ -23,7 +23,7 @@ from .encoder import ClassifierHead, EncoderModel, ModelConfig
 from .errors import NumericError, ValidationError
 from .tensor import Tensor
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 WEIGHTS_NAME = "weights.bin"
 
@@ -72,7 +72,6 @@ def save_checkpoint(path, model: EncoderModel, head: Optional[ClassifierHead] = 
     manifest = {
         "format_version": FORMAT_VERSION,
         "model_config": model.config.to_dict(),
-        "embeddings_frozen": model.embeddings_frozen,
         "head": None if head is None else {
             "hidden_dim": head.hidden_dim, "num_classes": head.num_classes},
         "stage_index": stage_index,
@@ -109,7 +108,6 @@ def load_checkpoint(path) -> CheckpointBundle:
 
     try:
         config = ModelConfig.from_dict(manifest["model_config"])
-        embeddings_frozen = manifest["embeddings_frozen"]
         head_spec = manifest.get("head")
         head = None if head_spec is None else ClassifierHead(
             head_spec["hidden_dim"], head_spec["num_classes"], seed=None)
@@ -121,16 +119,13 @@ def load_checkpoint(path) -> CheckpointBundle:
         step_count = _count(manifest["step_count"], "step_count")
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"manifest field missing or malformed: {exc}") from None
-    if type(embeddings_frozen) is not bool:
-        raise ValidationError(
-            f"manifest embeddings_frozen must be true or false, got {embeddings_frozen!r}")
-    model = EncoderModel(config, seed=None, embeddings_frozen=embeddings_frozen)
+    model = EncoderModel(config, seed=None)
     targets = dict(_named_tensors(model, head))
 
     raw = (directory / WEIGHTS_NAME).read_bytes()
     seen = set()
     for name, offset, nbytes, digest, shape in records:
-        if name not in targets:
+        if type(name) is not str or name not in targets:
             raise ValidationError(f"manifest lists unknown tensor {name!r}")
         blob = raw[offset:offset + nbytes]
         if len(blob) != nbytes:

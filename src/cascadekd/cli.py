@@ -172,8 +172,7 @@ def cmd_gen_task(args) -> int:
 def _resolve_teacher(args, config: RunConfig) -> EncoderModel:
     if args.teacher:
         return load_checkpoint(args.teacher).model
-    return init_random(config.model, config.seeds.cascade,
-                       embeddings_frozen=config.pretrain.embeddings_frozen)
+    return init_random(config.model, config.seeds.cascade)
 
 
 def _distill_setup(args) -> tuple[RunConfig, Path, EncoderModel, bool, Iterator[Batch]]:

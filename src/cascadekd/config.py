@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 from .corpus import CorpusSpec
 from .distill import CascadePlan, build_cascade_plan
-from .encoder import PRE_SOFTMAX_SCALED, ModelConfig
+from .encoder import ModelConfig
 from .errors import ValidationError
 from .training import FineTuneConfig, OptimizerConfig
 
@@ -40,9 +40,7 @@ class PretrainSection:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = PRETRAIN_EPSILON
-    weight_decay: float = 0.0
     dropout: bool = True
-    embeddings_frozen: bool = True
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,7 @@ class RunConfig:
             peak_lr=self.pretrain.peak_lr, batch_size=self.pretrain.batch_size,
             micro_batch_size=self.pretrain.micro_batch_size,
             beta1=self.pretrain.beta1, beta2=self.pretrain.beta2,
-            epsilon=self.pretrain.epsilon, weight_decay=self.pretrain.weight_decay)
+            epsilon=self.pretrain.epsilon)
 
     def cascade_plan(self) -> CascadePlan:
         return build_cascade_plan(
@@ -164,7 +162,7 @@ class RunConfig:
 def default_config() -> RunConfig:
     model = ModelConfig(vocab_size=256, hidden_dim=32, num_layers=6,
                         num_heads=4, ffn_dim=64, max_seq_len=16,
-                        dropout_rate=0.1, attention_capture=PRE_SOFTMAX_SCALED)
+                        dropout_rate=0.1)
     return RunConfig(model=model, cascade=CascadeSection(),
                      pretrain=PretrainSection(), finetune=FinetuneSection(),
                      corpus=CorpusSection(), seeds=SeedsSection())

@@ -18,7 +18,7 @@ import math
 import random
 import string
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -85,17 +85,11 @@ def exponentiate_distribution(probabilities: Mapping[str, float], exponent: floa
 # synthetic language models
 # ---------------------------------------------------------------------------
 
+# Language i writes with the i-th 8-character chunk of this pool.
+_ALPHABET_POOL = string.ascii_lowercase + string.ascii_uppercase + string.digits
 _ALPHABET_CHUNK = 8
 MIN_WORD_LEN = 2
 MAX_WORD_LEN = 4
-
-
-def _default_alphabets(count: int) -> list[str]:
-    pool = string.ascii_lowercase + string.ascii_uppercase + string.digits
-    if count * _ALPHABET_CHUNK > len(pool):
-        raise ValidationError(
-            f"no default alphabets for {count} languages; set them explicitly")
-    return [pool[i * _ALPHABET_CHUNK:(i + 1) * _ALPHABET_CHUNK] for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -104,12 +98,15 @@ class LanguageSpec:
 
     name: str
     size_bytes: float
-    alphabet: str = ""
 
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Synthetic corpus recipe: languages plus line-shape parameters."""
+    """Synthetic corpus recipe: languages plus line-shape parameters.
+
+    A language's alphabet follows from its position in `languages`: the
+    i-th language writes with the i-th disjoint 8-character chunk of
+    [a-zA-Z0-9], so a spec holds at most 7 languages."""
 
     languages: tuple[LanguageSpec, ...]
     min_words_per_line: int = 3
@@ -128,15 +125,10 @@ class CorpusSpec:
         names = [lang.name for lang in self.languages]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate language names")
-        if any(not lang.alphabet for lang in self.languages):
-            defaults = _default_alphabets(len(self.languages))
-            filled = tuple(
-                lang if lang.alphabet else replace(lang, alphabet=defaults[i])
-                for i, lang in enumerate(self.languages))
-            object.__setattr__(self, "languages", filled)
-        alphabets = [lang.alphabet for lang in self.languages]
-        if len(set(alphabets)) != len(alphabets):
-            raise ValidationError("languages need distinct character distributions")
+        if len(self.languages) * _ALPHABET_CHUNK > len(_ALPHABET_POOL):
+            raise ValidationError(
+                f"no alphabets left for {len(self.languages)} languages; at most "
+                f"{len(_ALPHABET_POOL) // _ALPHABET_CHUNK} fit")
 
     @classmethod
     def from_sizes(cls, sizes: Mapping[str, float], **kwargs) -> "CorpusSpec":
@@ -156,15 +148,15 @@ class CorpusSpec:
 
 
 class _MarkovLanguage:
-    """Order-2 character chain with a concentrated transition table,
-    built deterministically from an integer seed."""
+    """Order-2 character chain over the alphabet of the language at `index`,
+    with a concentrated transition table, built deterministically from an
+    integer seed."""
 
     _START = "\x00"
 
-    def __init__(self, spec: LanguageSpec, seed: int):
-        self.spec = spec
+    def __init__(self, index: int, seed: int):
         rng = random.Random(seed)
-        chars = list(spec.alphabet)
+        chars = list(_ALPHABET_POOL[index * _ALPHABET_CHUNK:(index + 1) * _ALPHABET_CHUNK])
         self._chars = chars
         self._cum: dict[tuple[str, str], list[float]] = {}
         states = [self._START] + chars
@@ -208,8 +200,8 @@ def generate_synthetic_corpus(spec: CorpusSpec, total_lines: int,
     i.i.d. from the smoothed distribution."""
     if total_lines < 0:
         raise ValidationError("total_lines must be >= 0")
-    models = [_MarkovLanguage(lang, _language_seed(seed, i))
-              for i, lang in enumerate(spec.languages)]
+    models = [_MarkovLanguage(i, _language_seed(seed, i))
+              for i in range(len(spec.languages))]
     weights = list(spec.sampling_probabilities().values())
     rng = random.Random(seed)
     picks = rng.choices(range(len(models)), weights=weights, k=total_lines)
@@ -243,7 +235,7 @@ def generate_labeled_task(spec: CorpusSpec, language: str, num_examples: int,
     index = next((i for i, lang in enumerate(spec.languages) if lang.name == language), None)
     if index is None:
         raise ValidationError(f"unknown language {language!r}")
-    model = _MarkovLanguage(spec.languages[index], _language_seed(seed, index))
+    model = _MarkovLanguage(index, _language_seed(seed, index))
     rng = random.Random(seed * 69_069 + 13)
     rows = []
     for _ in range(num_examples):

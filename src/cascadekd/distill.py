@@ -62,20 +62,16 @@ class LayerMapSpec:
 def top_layer_init(teacher: EncoderModel) -> EncoderModel:
     """Student initialized with the teacher's lowest n layers, top layer cut.
 
-    Layer weights are value-equal copies; frozen embeddings are shared with
-    the teacher (they are never updated), otherwise copied.
+    Layer weights are value-equal copies; the embeddings, which are frozen
+    and never updated, are the teacher's own tensors, shared down the cascade.
     """
     if teacher.num_layers < 2:
         raise ValidationError(
             f"teacher with {teacher.num_layers} layer(s) cannot be shrunk")
     config = teacher.config.with_layers(teacher.num_layers - 1)
-    student = EncoderModel(config, seed=None, embeddings_frozen=teacher.embeddings_frozen)
-    if teacher.embeddings_frozen:
-        for name in EncoderModel.EMBEDDING_PARAM_NAMES:
-            setattr(student, name, getattr(teacher, name))
-    else:
-        for name in EncoderModel.EMBEDDING_PARAM_NAMES:
-            getattr(student, name).data = getattr(teacher, name).data.copy()
+    student = EncoderModel(config, seed=None)
+    for name in EncoderModel.EMBEDDING_PARAM_NAMES:
+        setattr(student, name, getattr(teacher, name))
     student.layers = [layer.copy(config) for layer in teacher.layers[:-1]]
     return student
 

@@ -13,7 +13,10 @@ Each sublayer is one fused tape node with a hand-written backward pass:
 (both feed-forward maps around the GELU), `LayerNorm`, and `Linear` for
 V, the output projection, the pooler and the classifier output. The
 softmax between scores and context is its own node, since the attention
-record may be captured on either side of it.
+record is the scaled scores before it, as in TinyBERT and LightMBERT.
+
+The embedding tables are frozen, as in LightMBERT: they take no gradient
+and the embedding lookup records no tape node.
 
 Every pass computes only the columns its batch uses: trailing positions
 that every row masks are cut from the input before the embedding, so a
@@ -32,7 +35,7 @@ either way, so a kept position gets the mask value of the full pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,7 +46,6 @@ from .tensor import (
     attention_context,
     attention_scores,
     feed_forward,
-    gather_rows,
     layer_norm,
     linear,
     softmax_rows,
@@ -51,10 +53,6 @@ from .tensor import (
 
 INIT_STD = 0.02
 LAYER_NORM_EPS = 1e-12
-
-PRE_SOFTMAX_SCALED = "pre_softmax_scaled"
-POST_SOFTMAX = "post_softmax"
-CAPTURE_MODES = (PRE_SOFTMAX_SCALED, POST_SOFTMAX)
 
 # Query positions a layer computes: every one, or only the first-token
 # ([CLS]) position that `classify` reads from the top layer.
@@ -71,9 +69,12 @@ class ModelConfig:
     ffn_dim: int
     max_seq_len: int
     dropout_rate: float = 0.1
-    attention_capture: str = PRE_SOFTMAX_SCALED
 
     def __post_init__(self):
+        for f in fields(self)[:6]:  # the extents; a bool or a float is not an int
+            value = getattr(self, f.name)
+            if type(value) is not int:
+                raise ValidationError(f"model {f.name} must be an integer, got {value!r}")
         if self.vocab_size <= 0 or self.hidden_dim <= 0 or self.num_heads <= 0 \
                 or self.ffn_dim <= 0 or self.max_seq_len <= 0:
             raise ValidationError("all model extents must be positive")
@@ -84,8 +85,6 @@ class ModelConfig:
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValidationError("dropout_rate must lie in [0, 1)")
-        if self.attention_capture not in CAPTURE_MODES:
-            raise ValidationError(f"unknown attention_capture {self.attention_capture!r}")
 
     @property
     def head_dim(self) -> int:
@@ -175,21 +174,19 @@ class ForwardTrace:
 class EncoderModel:
     """Embeddings plus a stack of encoder layers."""
 
-    def __init__(self, config: ModelConfig, seed: Optional[int] = None,
-                 embeddings_frozen: bool = True):
+    def __init__(self, config: ModelConfig, seed: Optional[int] = None):
         self.config = config
-        self.embeddings_frozen = embeddings_frozen
         rng = np.random.default_rng(seed) if seed is not None else None
         d = config.hidden_dim
 
         def emb(*shape):
             data = np.zeros(shape) if rng is None else rng.normal(0.0, INIT_STD, size=shape)
-            return Tensor(data, requires_grad=not embeddings_frozen)
+            return Tensor(data)
 
         self.token_embeddings = emb(config.vocab_size, d)
         self.position_embeddings = emb(config.max_seq_len, d)
-        self.emb_ln_gain = Tensor(np.ones(d), requires_grad=not embeddings_frozen)
-        self.emb_ln_bias = Tensor(np.zeros(d), requires_grad=not embeddings_frozen)
+        self.emb_ln_gain = Tensor(np.ones(d))
+        self.emb_ln_bias = Tensor(np.zeros(d))
         self.layers = [EncoderLayer(config, rng) for _ in range(config.num_layers)]
 
     # -- parameter plumbing ------------------------------------------------
@@ -257,7 +254,8 @@ class EncoderModel:
         drop = _dropout(self.config.dropout_rate if training_mode else 0.0, dropout_seed,
                         (batch, seq_len, self.config.hidden_dim))
 
-        x = gather_rows(self.token_embeddings, token_ids) + self.position_embeddings[:width]
+        x = Tensor(self.token_embeddings.data[token_ids]
+                   + self.position_embeddings.data[:width])
         x = layer_norm(x, self.emb_ln_gain, self.emb_ln_bias, LAYER_NORM_EPS)
         return drop(x), mask, drop
 
@@ -271,8 +269,6 @@ class EncoderModel:
         scores = attention_scores(x, layer.wq, layer.bq, layer.wk, layer.bk, cfg.num_heads,
                                   rows=rows)
         probs = softmax_rows(scores, mask=mask[:, None, None, :])
-        captured = scores if cfg.attention_capture == PRE_SOFTMAX_SCALED else probs
-
         context = attention_context(probs, linear(x, layer.wv, layer.bv), cfg.num_heads)
         if rows != _ALL_ROWS:
             x = x[:, rows]  # the residual's rows
@@ -282,7 +278,7 @@ class EncoderModel:
         ffn = drop(feed_forward(x, layer.w_ffn_in, layer.b_ffn_in,
                                 layer.w_ffn_out, layer.b_ffn_out))
         x = layer_norm(x + ffn, layer.ln_ffn_gain, layer.ln_ffn_bias, LAYER_NORM_EPS)
-        return x, captured
+        return x, scores
 
 
 def _computed_width(mask: np.ndarray) -> int:
@@ -310,12 +306,12 @@ def _dropout(rate: float, seed: int, full_shape: tuple) -> Callable[[Tensor], Te
     return drop
 
 
-def init_random(config: ModelConfig, seed: int, embeddings_frozen: bool = True) -> EncoderModel:
+def init_random(config: ModelConfig, seed: int) -> EncoderModel:
     """Fresh model: weights ~ Normal(0, 0.02), layer-norm gains 1, biases 0.
 
     Deterministic for a fixed seed.
     """
-    return EncoderModel(config, seed=seed, embeddings_frozen=embeddings_frozen)
+    return EncoderModel(config, seed=seed)
 
 
 class ClassifierHead:

@@ -476,20 +476,6 @@ class Slice(Function):
         return (out,)
 
 
-class GatherRows(Function):
-    """Row lookup `table[ids]`; the backward pass scatter-adds."""
-
-    def forward(self, table, ids):
-        self.table_shape = table.shape
-        self.ids = ids
-        return table[ids]
-
-    def backward(self, g):
-        out = np.zeros(self.table_shape)
-        np.add.at(out, self.ids.reshape(-1), g.reshape(-1, g.shape[-1]))
-        return (out,)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """`x @ w + b` for a (d_in, d_out) weight and a (d_out,) bias."""
     if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
@@ -543,13 +529,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
         raise ValidationError(
             f"layer_norm shapes do not fit: x {x.shape}, gain {gain.shape}, bias {bias.shape}")
     return LayerNorm.apply(x, gain, bias, eps=eps)
-
-
-def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise TypeError("ids must be integers")
-    return GatherRows.apply(table, ids=ids)
 
 
 # ---------------------------------------------------------------------------

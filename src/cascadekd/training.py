@@ -42,7 +42,6 @@ class OptimizerConfig:
     micro_batch_size: int = 1
     beta1: float = 0.9
     beta2: float = 0.999
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         if self.peak_lr < 0:
@@ -51,8 +50,6 @@ class OptimizerConfig:
             raise ValidationError("betas must lie in [0, 1)")
         if self.epsilon <= 0:
             raise ValidationError("epsilon must be > 0")
-        if self.weight_decay < 0:
-            raise ValidationError("weight_decay must be >= 0")
         if self.batch_size < 1 or self.micro_batch_size < 1:
             raise ValidationError("batch sizes must be >= 1")
         if self.batch_size % self.micro_batch_size != 0:
@@ -120,8 +117,6 @@ class Adam:
             if g.shape != p.data.shape:
                 raise ValidationError(
                     f"gradient shape {g.shape} != parameter {name!r} shape {p.data.shape}")
-            if config.weight_decay != 0.0:
-                g = g + config.weight_decay * p.data
             m = self.m[name]
             v = self.v[name]
             m *= config.beta1

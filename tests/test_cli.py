@@ -393,6 +393,20 @@ def test_an_ini_that_configparser_rejects_exits_one(tmp_path, capsys, text, reas
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "attention_capture", "pre_softmax_scaled"),
+    ("pretrain", "embeddings_frozen", "True"),
+    ("pretrain", "weight_decay", "0.0")])
+def test_a_removed_key_is_an_unknown_key(tmp_path, capsys, section, key, value):
+    # An INI written before these options became fixed choices fails loudly.
+    ini = tmp_path / "old.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out.ini"
+    assert main(["init-config", "--config", str(ini), "--out", str(out)]) == 1
+    assert f"error: unknown key '{key}' in section [{section}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, count", [
     ("--train-examples", "0"), ("--train-examples", "-5"),
     ("--eval-examples", "0"), ("--eval-examples", "-5")])
@@ -467,9 +481,12 @@ def test_report_rejects_a_malformed_eval_result(tmp_path, capsys, payload):
 
 # sha256 of each file the default chain writes, recorded before the
 # language table became `CorpusSpec.sampling_probabilities`; a refactor
-# of corpus or task generation must not move them.
+# of corpus or task generation must not move them. `config.ini` was
+# re-recorded when `[model] attention_capture`, `[pretrain] weight_decay`
+# and `[pretrain] embeddings_frozen` were removed; every other file kept
+# its digest.
 DEFAULT_CHAIN_DIGESTS = {
-    "config.ini": "439450704e0f107a338db6664d4f41d17100184c63dcef0aff6023564cd9b7c9",
+    "config.ini": "fda41d76ec8e59ec76d927bd55aff62693bae19ca2858605ea237cfe7337e7c9",
     "corpus/corpus.tsv": "dc423a15c2288ac4eae6e7a5c54003f91cd9ee7a953715613c74447c12b7b6a1",
     "corpus/languages.csv": "fd9a0c8c8d17c342c5dd1322cd395b2a0b2c2fda0ea64b9ab6b79d0d2c38a10e",
     "corpus/vocab.json": "89056552af316627722ea875106d8236ada9073230a17d8ad87b8d0330bc9b2d",

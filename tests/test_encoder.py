@@ -1,12 +1,10 @@
-"""Encoder forward pass: trace shapes, capture modes, masking, dropout,
+"""Encoder forward pass: trace shapes, attention records, masking, dropout,
 initialization, and gradient flow through full layers."""
 
 import numpy as np
 import pytest
 
 from cascadekd.encoder import (
-    POST_SOFTMAX,
-    PRE_SOFTMAX_SCALED,
     ClassifierHead,
     EncoderModel,
     ModelConfig,
@@ -14,7 +12,15 @@ from cascadekd.encoder import (
     init_random,
 )
 from cascadekd.errors import ValidationError
-from cascadekd.tensor import AttentionScores, Tensor, backward, cross_entropy, mse, no_grad
+from cascadekd.tensor import (
+    AttentionScores,
+    Tensor,
+    backward,
+    cross_entropy,
+    mse,
+    no_grad,
+    softmax_rows,
+)
 
 from oracles import fd_denominator_floor, finite_difference_grad, max_relative_error, total
 
@@ -39,8 +45,8 @@ def test_config_validation():
         toy_config(hidden_dim=9)  # not divisible by heads
     with pytest.raises(ValidationError, match="dropout_rate must lie in"):
         toy_config(dropout_rate=1.0)
-    with pytest.raises(ValidationError, match="unknown attention_capture"):
-        toy_config(attention_capture="logits")
+    with pytest.raises(ValidationError, match="num_layers must be an integer, got True"):
+        toy_config(num_layers=True)
     with pytest.raises(ValidationError, match="extents must be positive"):
         toy_config(vocab_size=0)
     assert toy_config(num_heads=4).head_dim == 2
@@ -89,34 +95,30 @@ def test_dropout_seeding():
 
 
 def test_capture_modes():
+    # A layer's attention record is its scaled scores, before the softmax.
     rng = np.random.default_rng(3)
     ids, mask = toy_batch(rng)
-    pre = init_random(toy_config(), seed=5)
-    post = init_random(toy_config(attention_capture=POST_SOFTMAX), seed=5)
-    trace_pre = pre.forward(ids, mask)
-    trace_post = post.forward(ids, mask)
-    assert pre.config.attention_capture == PRE_SOFTMAX_SCALED
-    assert post.config.attention_capture == POST_SOFTMAX
-    probs = trace_post.attentions[0].data
-    # probability rows at real query positions sum to one over real keys
-    for b in range(2):
-        for q in range(4):
-            if mask[b, q]:
-                row = probs[b, :, q, :]
-                assert np.allclose(row.sum(axis=-1), 1.0)
-                assert np.all(row[:, ~mask[b]] == 0.0)
-    scores = trace_pre.attentions[0].data
+    model = init_random(toy_config(), seed=5)
+    trace = model.forward(ids, mask)
+    layer, x = model.layers[0], trace.hidden[0].data
+
+    def split_heads(w, b):  # (B, T, d) -> (B, H, T, d / H)
+        return (x @ w.data + b.data).reshape(2, 4, 2, 4).transpose(0, 2, 1, 3)
+
+    q, k = split_heads(layer.wq, layer.bq), split_heads(layer.wk, layer.bk)
+    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(4)
+    assert np.allclose(trace.attentions[0].data, scores, rtol=1e-12, atol=0.0)
     assert not np.allclose(scores.sum(axis=-1), 1.0)
 
 
 def test_zero_weights_give_uniform_attention():
-    config = toy_config(attention_capture=POST_SOFTMAX)
-    model = EncoderModel(config, seed=None)  # all weights zero
+    model = EncoderModel(toy_config(), seed=None)  # all weights zero
     # The second row uses the last position, so it is computed for both.
     ids = np.array([[1, 2, 3, 4], [5, 6, 7, 8]])
     mask = np.array([[True, True, True, False], [True, True, True, True]])
     trace = model.forward(ids, mask)
-    probs = trace.attentions[0].data
+    assert np.all(trace.attentions[0].data == 0.0)
+    probs = softmax_rows(trace.attentions[0], mask=mask[:, None, None, :]).data
     assert np.allclose(probs[0, :, :, :3], 1.0 / 3.0)
     assert np.all(probs[0, :, :, 3] == 0.0)
     assert np.allclose(probs[1], 1.0 / 4.0)
@@ -181,17 +183,13 @@ def test_a_zero_length_input_is_a_dimension_error():
 
 
 def test_parameter_listing_and_freezing():
-    frozen = init_random(toy_config(), seed=1, embeddings_frozen=True)
+    frozen = init_random(toy_config(), seed=1)
     names = [n for n, _ in frozen.parameters()]
     assert len(names) == len(set(names))
     assert len(names) == 4 + 16 * 2
     trainable = dict(frozen.trainable_parameters())
     assert "token_embeddings" not in trainable
     assert not frozen.token_embeddings.requires_grad
-
-    free = init_random(toy_config(), seed=1, embeddings_frozen=False)
-    assert "token_embeddings" in dict(free.trainable_parameters())
-    assert free.token_embeddings.requires_grad
 
 
 def test_init_statistics():

@@ -38,7 +38,6 @@ def test_checkpoint_round_trip_is_value_identical(tmp_path):
     assert bundle.step_count == 42
     assert bundle.head is None
     assert bundle.model.config == model.config
-    assert bundle.model.embeddings_frozen == model.embeddings_frozen
     restored = dict(bundle.model.parameters())
     for name, tensor in model.parameters():
         assert np.array_equal(restored[name].data, tensor.data), name
@@ -93,11 +92,13 @@ def _edit_manifest(directory, mutate):
 
 
 def test_version_mismatch_rejected(tmp_path):
-    save_checkpoint(tmp_path / "ckpt", tiny_model())
-    _edit_manifest(tmp_path / "ckpt",
-                   lambda m: m.__setitem__("format_version", 99))
-    with pytest.raises(ValidationError, match="checkpoint format 99"):
-        load_checkpoint(tmp_path / "ckpt")
+    # Format 1 manifests also recorded embeddings_frozen and attention_capture.
+    for version in (99, 1):
+        save_checkpoint(tmp_path / "ckpt", tiny_model())
+        _edit_manifest(tmp_path / "ckpt",
+                       lambda m: m.__setitem__("format_version", version))
+        with pytest.raises(ValidationError, match=f"checkpoint format {version}, expected 2"):
+            load_checkpoint(tmp_path / "ckpt")
 
 
 def test_unknown_tensor_name_rejected(tmp_path):
@@ -164,6 +165,13 @@ def _set_field(key, value, in_first_tensor=False):
     return mutate
 
 
+def _set_model_config(key, value):
+    def mutate(manifest):
+        manifest["model_config"][key] = value
+        return manifest
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, match", [
     (lambda m: [m], "not a JSON object"),
     (_set_field("offset", "0", in_first_tensor=True), "offset of 'token_embeddings'"),
@@ -173,10 +181,13 @@ def _set_field(key, value, in_first_tensor=False):
     (_set_field("stage_index", "1"), "stage_index must be a non-negative integer"),
     (_set_field("stage_index", False), "stage_index must be a non-negative integer"),
     (_set_field("step_count", -1), "step_count must be a non-negative integer"),
-    (_set_field("embeddings_frozen", "false"), "embeddings_frozen must be true or false"),
-    (_set_field("embeddings_frozen", 0), "embeddings_frozen must be true or false"),
+    (_set_field("name", ["token_embeddings"], in_first_tensor=True),
+     r"unknown tensor \['token_embeddings'\]"),
+    (_set_model_config("hidden_dim", 8.0), "hidden_dim must be an integer, got 8.0"),
+    (_set_model_config("num_layers", 2.0), "num_layers must be an integer, got 2.0"),
 ], ids=["list", "string-offset", "negative-offset", "float-nbytes", "bool-nbytes",
-        "string-stage", "bool-stage", "negative-steps", "string-frozen", "int-frozen"])
+        "string-stage", "bool-stage", "negative-steps", "list-name", "float-hidden-dim",
+        "float-num-layers"])
 def test_corrupted_manifest_contents_rejected(tmp_path, mutate, match):
     save_checkpoint(tmp_path / "ckpt", tiny_model(), stage_index=1, step_count=9)
     path = tmp_path / "ckpt" / MANIFEST_NAME
@@ -306,10 +317,10 @@ def test_config_rejects_bad_value(tmp_path):
 
 def test_config_bool_coercion(tmp_path):
     path = tmp_path / "run.ini"
-    path.write_text("[pretrain]\ndropout = off\nembeddings_frozen = on\n")
+    path.write_text("[pretrain]\ndropout = off\n[cascade]\nfirst_stage_full_warmup = on\n")
     parsed = parse_config(path)
     assert parsed.pretrain.dropout is False
-    assert parsed.pretrain.embeddings_frozen is True
+    assert parsed.cascade.first_stage_full_warmup is True
 
 
 def test_config_missing_file(tmp_path):

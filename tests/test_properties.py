@@ -15,8 +15,6 @@ from cascadekd.checkpoint import WEIGHTS_NAME, load_checkpoint, save_checkpoint
 from cascadekd.corpus import Batch
 from cascadekd.distill import top_layer_init, total_distill_loss
 from cascadekd.encoder import (
-    CAPTURE_MODES,
-    PRE_SOFTMAX_SCALED,
     ClassifierHead,
     ForwardTrace,
     ModelConfig,
@@ -31,7 +29,6 @@ from cascadekd.tensor import (
     backward,
     cross_entropy,
     feed_forward,
-    gather_rows,
     layer_norm,
     linear,
     mse,
@@ -162,14 +159,6 @@ def _slice_row(draw, rng):
     return lambda: total(x[:, :-1] * x[:, 1:]) + total(x[key], weights), [x], FD_STEP
 
 
-def _gather_rows_row(draw, rng):
-    vocab, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    table, = _inputs(draw, rng, [(vocab, d)])
-    ids = rng.integers(0, vocab, size=(draw(st.integers(1, 2)), draw(st.integers(1, 5))))
-    weights = rng.normal(size=(*ids.shape, d))
-    return lambda: total(gather_rows(table, ids), weights), [table], FD_STEP
-
-
 def _softmax_rows_row(draw, rng):
     lead, n = _lead(draw), draw(st.integers(1, 5))
     x, = _inputs(draw, rng, [(*lead, n)])
@@ -254,7 +243,6 @@ FD_ROWS = {
     tensor.Mul: _broadcasting_row(operator.mul),
     tensor.Tanh: _tanh_row,
     tensor.Slice: _slice_row,
-    tensor.GatherRows: _gather_rows_row,
     tensor.SoftmaxRows: _softmax_rows_row,
     tensor.Mse: _mse_row,
     tensor.CrossEntropy: _cross_entropy_row,
@@ -323,23 +311,17 @@ def attention_case(draw):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(case=attention_case(), capture=st.sampled_from(CAPTURE_MODES),
-       constant_x=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_attention_scores_match_finite_differences(case, capture, constant_x, seed):
-    batch, seq, heads, d, key_mask = case
+@given(case=attention_case(), constant_x=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_attention_scores_match_finite_differences(case, constant_x, seed):
+    batch, seq, heads, d, _ = case
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(batch, seq, d)), requires_grad=not constant_x)
     params = [Tensor(rng.normal(size=shape), requires_grad=True)
               for shape in ((d, d), (d,), (d, d), (d,))]
     weights = rng.normal(size=(batch, heads, seq, seq))
 
-    def build():
-        scores = attention_scores(x, *params, heads)
-        if capture != PRE_SOFTMAX_SCALED:
-            scores = softmax_rows(scores, mask=key_mask)
-        return total(scores, weights)
-
-    check_grads(build, params + ([] if constant_x else [x]))
+    check_grads(lambda: total(attention_scores(x, *params, heads), weights),
+                params + ([] if constant_x else [x]))
     assert (x.grad is None) == constant_x
 
 
@@ -387,11 +369,9 @@ def classify_case(draw):
     config = ModelConfig(vocab_size=9, hidden_dim=heads * draw(st.integers(1, 3)),
                          num_layers=draw(st.integers(0, 3)), num_heads=heads,
                          ffn_dim=draw(st.integers(1, 6)), max_seq_len=6,
-                         dropout_rate=0.3,
-                         attention_capture=draw(st.sampled_from(CAPTURE_MODES)))
+                         dropout_rate=0.3)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    model = init_random(config, seed=int(rng.integers(2**31)),
-                        embeddings_frozen=draw(st.booleans()))
+    model = init_random(config, seed=int(rng.integers(2**31)))
     head = ClassifierHead(config.hidden_dim, num_classes=3, seed=int(rng.integers(2**31)))
     # Weights of order one, so attention is far from uniform.
     for _, t in model.parameters() + head.parameters():
@@ -476,16 +456,16 @@ def every_column():
 
 
 @st.composite
-def trailing_padding_case(draw, capture):
+def trailing_padding_case(draw):
     """A teacher with large weights, its top-cut student, a head, and a
     padded batch with 1-3 trailing all-padding columns of random ids."""
     heads = draw(st.integers(1, 2))
     config = ModelConfig(vocab_size=9, hidden_dim=heads * draw(st.integers(1, 3)),
                          num_layers=draw(st.integers(2, 3)), num_heads=heads,
                          ffn_dim=draw(st.integers(1, 6)), max_seq_len=8,
-                         dropout_rate=0.3, attention_capture=capture)
+                         dropout_rate=0.3)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    teacher = init_random(config, seed=0, embeddings_frozen=draw(st.booleans()))
+    teacher = init_random(config, seed=0)
     head = ClassifierHead(config.hidden_dim, num_classes=3, seed=0)
     for _, t in teacher.parameters() + head.parameters():
         t.data = rng.normal(0.0, 0.7, size=t.shape)
@@ -505,14 +485,13 @@ def assert_close(got, ref, scale=None):
     assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("capture", CAPTURE_MODES)
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data(), dropout_seed=st.integers(0, 2**32 - 1))
-def test_trailing_padding_columns_change_no_value(capture, data, dropout_seed):
+def test_trailing_padding_columns_change_no_value(data, dropout_seed):
     """Cutting the all-padding columns leaves every kept position of the
     traces, the distillation loss, its gradients and the logits as a pass
     over every column computes them, with dropout on."""
-    teacher, student, head, ids, mask, width = data.draw(trailing_padding_case(capture))
+    teacher, student, head, ids, mask, width = data.draw(trailing_padding_case())
     params = [t for _, t in student.trainable_parameters()]
 
     def run():

@@ -25,7 +25,6 @@ from cascadekd.tensor import (
     backward,
     cross_entropy,
     feed_forward,
-    gather_rows,
     layer_norm,
     linear,
     mse,
@@ -276,13 +275,6 @@ def test_fused_encoder_op_shape_errors():
         feed_forward(x, w_in, b_in, w_out, Tensor(np.zeros(5)))
 
 
-def test_gather_rows_forward():
-    table = Tensor(np.arange(12.0).reshape(4, 3))
-    ids = np.array([[0, 3], [1, 1]])
-    out = gather_rows(table, ids)
-    assert np.allclose(out.data, table.data[ids])
-
-
 # ---------------------------------------------------------------------------
 # backward mechanics
 # ---------------------------------------------------------------------------
@@ -425,14 +417,6 @@ def test_product_with_a_constant_gives_the_constant_times_upstream():
     assert np.array_equal(x.grad, g * c)
 
 
-def test_gather_rows_backward_accumulates_duplicates():
-    table = Tensor(np.zeros((3, 2)), requires_grad=True)
-    ids = np.array([[1, 1, 2]])
-    out = gather_rows(table, ids)
-    backward(total(out * out + out))
-    assert np.allclose(table.grad, [[0, 0], [2, 2], [1, 1]])
-
-
 def test_mse_excluded_entries_get_exact_zero_gradient():
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(size=(3, 4)) * 1e6, requires_grad=True)
@@ -483,11 +467,10 @@ def test_cross_entropy_grads():
 def test_composite_graph_grads():
     # one graph exercising every op the encoder uses
     rng = np.random.default_rng(9)
-    ids = np.array([[0, 2, 1], [1, 1, 2]])
     mask = np.array([[True, True, True], [True, False, False]])
     keep = (rng.random((2, 3, 4)) >= 0.2) / 0.8
     for _ in range(3):
-        table = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         params = [Tensor(rng.normal(size=shape), requires_grad=True)
                   for shape in ((4, 4), (4,), (4, 4), (4,), (4, 4), (4,),
                                 (4, 6), (6,), (6, 4), (4,), (4,), (4,))]
@@ -495,7 +478,6 @@ def test_composite_graph_grads():
         target = rng.normal(size=(2, 3, 4))
 
         def build():
-            x = gather_rows(table, ids)
             scores = attention_scores(x, wq, bq, wk, bk, heads=2)
             probs = softmax_rows(scores, mask=mask[:, None, None, :])
             context = attention_context(probs, linear(x, wv, bv), heads=2)
@@ -503,4 +485,4 @@ def test_composite_graph_grads():
             out = feed_forward(h, w_in, b_in, w_out, b_out)
             return mse(out, Tensor(target), include=mask[:, :, None])
 
-        check_grads(build, [table] + params)
+        check_grads(build, [x] + params)

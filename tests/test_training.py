@@ -12,7 +12,7 @@ from cascadekd.corpus import Batch, TokenizerVocab, encode_batch
 from cascadekd.encoder import ClassifierHead, EncoderModel, ModelConfig, init_random
 from cascadekd.errors import ValidationError
 from cascadekd import training
-from cascadekd.tensor import Tensor, gather_rows, mse
+from cascadekd.tensor import Tensor, linear, mse
 from cascadekd.training import (
     PREDICT_SLICE,
     Adam,
@@ -140,19 +140,16 @@ def test_adam_zero_gradient_keeps_params():
 
 def test_adam_matches_functional_replay():
     rng = np.random.default_rng(1)
-    for wd in (0.0, 0.01):
-        config = OptimizerConfig(peak_lr=0.03, batch_size=1, epsilon=1e-9,
-                                 weight_decay=wd)
-        start = rng.normal(size=(3, 2))
-        grads = [rng.normal(size=(3, 2)) for _ in range(20)]
-        p = Tensor(start.copy(), requires_grad=True)
-        opt = Adam([("p", p)], config)
-        for g in grads:
-            p.grad = g
-            opt.step(0.03)
-        want = reference_adam(start, grads, 0.03, config.beta1, config.beta2,
-                              config.epsilon, weight_decay=wd)
-        assert np.allclose(p.data, want, rtol=1e-12, atol=0)
+    config = OptimizerConfig(peak_lr=0.03, batch_size=1, epsilon=1e-9)
+    start = rng.normal(size=(3, 2))
+    grads = [rng.normal(size=(3, 2)) for _ in range(20)]
+    p = Tensor(start.copy(), requires_grad=True)
+    opt = Adam([("p", p)], config)
+    for g in grads:
+        p.grad = g
+        opt.step(0.03)
+    want = reference_adam(start, grads, 0.03, config.beta1, config.beta2, config.epsilon)
+    assert np.allclose(p.data, want, rtol=1e-12, atol=0)
 
 
 def test_adam_shape_check_and_duplicate_names():
@@ -177,7 +174,9 @@ def toy_loss_setup(rng, rows=8, dim=3, vocab=10):
     batch = Batch(ids, mask)
 
     def loss_fn(micro):
-        picked = gather_rows(table, micro.token_ids)
+        # Row lookup as a one-hot product, so the table takes a gradient.
+        one_hot = Tensor(np.eye(vocab)[micro.token_ids])
+        picked = linear(one_hot, table, Tensor(np.zeros(dim)))
         want = Tensor(targets[micro.token_ids])
         return mse(picked, want)
 
