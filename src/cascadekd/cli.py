@@ -48,7 +48,7 @@ METRICS_FILE = "metrics.jsonl"
 
 def _load_run_config(args) -> RunConfig:
     config = parse_config(args.config) if args.config else default_config()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = config.with_seed(args.seed)
     return config
 
@@ -175,25 +175,26 @@ def _resolve_teacher(args, config: RunConfig) -> EncoderModel:
     return init_random(config.model, config.seeds.cascade)
 
 
-def _distill_setup(args) -> tuple[RunConfig, Path, EncoderModel, bool, Iterator[Batch]]:
-    """The setup `cascade` and `distill` share: the run config, the output
-    directory, the teacher, the dropout flag and the batch stream. The
-    inputs are loaded and checked before the output directory is made."""
+def _distill_setup(args) -> tuple[RunConfig, EncoderModel, bool, Iterator[Batch]]:
+    """The inputs `cascade` and `distill` share, loaded and checked: the run
+    config, the teacher, the dropout flag and the batch stream. Nothing is
+    written; each command makes its output directory once its plan holds."""
     config = _load_run_config(args)
     teacher = _resolve_teacher(args, config)
     vocab = _load_vocab(args.corpus, teacher.config)
     texts = _load_texts(args.corpus)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dropout = config.pretrain.dropout and not args.deterministic
     batches = _recycling_batches(texts, vocab, teacher.config.max_seq_len,
                                  config.pretrain.batch_size, config.seeds.shuffle)
-    return config, out, teacher, dropout, batches
+    return config, teacher, dropout, batches
 
 
 def cmd_cascade(args) -> int:
-    config, out, teacher, dropout, batches = _distill_setup(args)
+    config, teacher, dropout, batches = _distill_setup(args)
     plan = config.cascade_plan()
+    plan.check_teacher(teacher)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     with MetricsWriter(out / METRICS_FILE) as writer:
         def on_stage_done(stage_result):
@@ -217,12 +218,14 @@ def cmd_cascade(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    config, out, teacher, dropout, batches = _distill_setup(args)
+    config, teacher, dropout, batches = _distill_setup(args)
     steps = args.steps if args.steps is not None else config.cascade.steps_per_stage
     plan = DistillStagePlan(
         teacher_depth=teacher.num_layers, student_depth=teacher.num_layers - 1,
         optimizer=config.pretrain_optimizer(), steps=steps,
         warmup_steps=config.cascade.warmup_steps)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     with MetricsWriter(out / METRICS_FILE) as writer:
         student, trace = run_stage(plan, teacher, batches, config.seeds.cascade,
                                    dropout=dropout, metrics=writer.write)
@@ -310,26 +313,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "distilling against adjacent-layer averages.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_config(p):
         p.add_argument("--config", help="INI run configuration; defaults when omitted")
         p.add_argument("--seed", type=int,
                        help="override every seed in the [seeds] section")
+
+    def add_training(p):
+        add_config(p)
         p.add_argument("--deterministic", action="store_true",
                        help="disable dropout for bit-reproducible runs")
 
     p = sub.add_parser("init-config", help="write the default configuration")
-    add_common(p)
+    add_config(p)
     p.add_argument("--out", required=True, help="path of the INI file to write")
     p.set_defaults(func=cmd_init_config)
 
     p = sub.add_parser("gen-corpus", help="synthesize the pretraining corpus")
-    add_common(p)
+    add_config(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--lines", type=int, help="override [corpus] total_lines")
     p.set_defaults(func=cmd_gen_corpus)
 
     p = sub.add_parser("gen-task", help="synthesize the labeled task")
-    add_common(p)
+    add_config(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--language", required=True, help="training language")
     p.add_argument("--train-examples", type=int, default=384)
@@ -337,14 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_task)
 
     p = sub.add_parser("cascade", help="run every shrink stage")
-    add_common(p)
+    add_training(p)
     p.add_argument("--corpus", required=True, help="directory from gen-corpus")
     p.add_argument("--out", required=True, help="run output directory")
     p.add_argument("--teacher", help="teacher checkpoint (random init when omitted)")
     p.set_defaults(func=cmd_cascade)
 
     p = sub.add_parser("distill", help="run a single shrink stage")
-    add_common(p)
+    add_training(p)
     p.add_argument("--corpus", required=True, help="directory from gen-corpus")
     p.add_argument("--out", required=True, help="run output directory")
     source = p.add_mutually_exclusive_group(required=True)
@@ -355,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("finetune", help="fine-tune a checkpoint on labeled data")
-    add_common(p)
+    add_training(p)
     p.add_argument("--corpus", required=True, help="directory from gen-corpus")
     p.add_argument("--model", required=True, help="checkpoint to fine-tune")
     p.add_argument("--train", required=True, help="labeled training file")
@@ -363,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval", help="score a fine-tuned checkpoint per language")
-    add_common(p)
     p.add_argument("--corpus", required=True, help="directory from gen-corpus")
     p.add_argument("--model", required=True, help="fine-tuned checkpoint")
     p.add_argument("--label", help="row label for later reports")

@@ -163,14 +163,14 @@ class DistillStagePlan:
 
 @dataclass(frozen=True)
 class CascadePlan:
-    """Ordered shrink steps from start_depth down to end_depth."""
+    """Ordered shrink steps from start_depth down to end_depth: at least one."""
 
     start_depth: int
     end_depth: int
     stages: tuple[DistillStagePlan, ...]
 
     def __post_init__(self):
-        if self.end_depth < 1 or self.start_depth < self.end_depth:
+        if self.end_depth < 1 or self.start_depth <= self.end_depth:
             raise ValidationError(
                 f"bad cascade depths {self.start_depth} -> {self.end_depth}")
         if len(self.stages) != self.start_depth - self.end_depth:
@@ -186,6 +186,11 @@ class CascadePlan:
     @property
     def total_steps(self) -> int:
         return sum(stage.steps for stage in self.stages)
+
+    def check_teacher(self, teacher: EncoderModel) -> None:
+        if teacher.num_layers != self.start_depth:
+            raise ValidationError(
+                f"teacher has {teacher.num_layers} layers, plan starts at {self.start_depth}")
 
 
 def build_cascade_plan(start_depth: int, end_depth: int, optimizer: OptimizerConfig,
@@ -250,21 +255,18 @@ def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterat
     optimizer steps minimizing the total distillation loss; the teacher is
     never modified. Returns the student and the per-step loss trace.
 
-    The teacher's no-grad forward is submitted one micro-batch ahead of
-    the student's forward and backward passes, across step boundaries
-    (micro-batch pipelining as in GPipe). It runs on one worker thread
-    when its matmul FLOPs on a full micro-batch reach
-    `_WORKER_MIN_TEACHER_FLOPS`, so a second core does the teacher's
-    work; a smaller teacher runs on the calling thread at the point of
-    submission, and no thread is started. The choice depends on shapes
-    only. Either way results are bit-identical to running the two in turn:
-    - each step's batch is pulled, and its (teacher, student) dropout
-      seeds drawn, when its first micro-batch is submitted, so the
-      stream is read exactly `plan.steps` times;
-    - a stream that runs out fails at the step that lacked a batch, after
-      every earlier step has finished and reported its metrics;
-    - an error in the teacher's forward is raised at the step its
-      micro-batch belongs to.
+    Within each optimizer step, the teacher's no-grad forward is submitted
+    one micro-batch ahead of the student's forward and backward passes
+    (micro-batch pipelining as in GPipe), and the pipeline drains at the
+    end of the step. It runs on one worker thread when its matmul FLOPs on
+    a full micro-batch reach `_WORKER_MIN_TEACHER_FLOPS`, so a second core
+    does the teacher's work; a smaller teacher runs on the calling thread
+    at the point of submission, and no thread is started. The choice
+    depends on shapes only. Either way results are bit-identical to running
+    the two in turn. Each step pulls its batch from `data_stream` and draws
+    its (teacher, student) dropout seeds when it starts, so the stream is
+    read exactly `plan.steps` times and a stream that runs out fails at
+    the step that lacked a batch.
     """
     if teacher.num_layers != plan.teacher_depth:
         raise ValidationError(
@@ -283,9 +285,7 @@ def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterat
     executor = ThreadPoolExecutor(max_workers=1) if _teacher_on_worker(plan, teacher.config) \
         else _CallingThread()
     with executor as worker:
-        def begin(step: int):
-            """Pull the step's batch, draw its seeds and submit the teacher
-            forward of its first micro-batch."""
+        for step in range(plan.steps):
             try:
                 batch = next(data_stream)
             except StopIteration:
@@ -295,28 +295,16 @@ def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterat
             teacher_seed = int(rng.integers(2**63))
             student_seed = int(rng.integers(2**63))
             micros = batch.split(plan.optimizer.micro_batch_size)
-            first = worker.submit(teacher_forward, micros[0], teacher_seed) if micros else None
-            return micros, teacher_seed, student_seed, first
-
-        upcoming = begin(0)
-        for step in range(plan.steps):
-            micros, teacher_seed, student_seed, ahead = upcoming
-            upcoming = exhausted = None
+            ahead = [worker.submit(teacher_forward, m, teacher_seed) for m in micros[:1]]
             following = iter(micros[1:])
 
             def loss_fn(micro: Batch) -> Tensor:
-                nonlocal ahead, upcoming, exhausted
-                current, ahead = ahead, None
+                current = ahead.pop()
                 successor = next(following, None)
                 if successor is not None:
-                    ahead = worker.submit(teacher_forward, successor, teacher_seed)
-                elif step + 1 < plan.steps:
-                    try:
-                        upcoming = begin(step + 1)
-                    except DataExhaustedError as exc:
-                        exhausted = exc  # raised once this step is done
+                    ahead.append(worker.submit(teacher_forward, successor, teacher_seed))
                 # The student's forward needs no teacher trace, so it runs
-                # first: a stage's first micro-batch overlaps it too.
+                # first: a step's first micro-batch overlaps it too.
                 s_trace = student.forward(micro.token_ids, micro.attention_mask,
                                           training_mode=dropout, dropout_seed=student_seed)
                 return total_distill_loss(current.result(), s_trace)
@@ -329,8 +317,6 @@ def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterat
             loss_trace.append(loss)
             if metrics is not None:
                 metrics({"stage": stage_index, "step": step, "lr": lr, "loss": loss})
-            if exhausted is not None:
-                raise exhausted
     return student, loss_trace
 
 
@@ -360,9 +346,7 @@ def run_cascade(plan: CascadePlan, teacher: EncoderModel, data_stream: Iterable[
     stream, in order: `run_stage` reads exactly `stage.steps` batches, so
     `batch_range` on each result is the slice the plan assigns it.
     """
-    if teacher.num_layers != plan.start_depth:
-        raise ValidationError(
-            f"teacher has {teacher.num_layers} layers, plan starts at {plan.start_depth}")
+    plan.check_teacher(teacher)
     stream = iter(data_stream)
     seed_rng = np.random.default_rng(seed)
     result = CascadeResult(final_model=teacher)

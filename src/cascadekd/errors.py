@@ -11,11 +11,9 @@ The message says what went wrong; the class says only what to do about it.
 - ``DataExhaustedError``: a batch stream that ran dry mid-stage.
 
 The CLI exits 1 on ``ValidationError`` and 2 on every other
-``CascadeKDError``. Only the last two are caught by type, both by
-``run_stage``: it re-raises a ``NonFiniteLossError`` with the stage and step
-that hit it, since only the stage loop knows where it is, and holds a
-``DataExhaustedError`` from prefetching the next step's batch until the
-current step is done.
+``CascadeKDError``. Only ``NonFiniteLossError`` is caught by type, by
+``run_stage``: it re-raises it with the stage and step that hit it, since
+only the stage loop knows where it is.
 """
 
 

@@ -472,7 +472,7 @@ class Slice(Function):
 
     def backward(self, g):
         out = np.zeros(self.shape)
-        out[self.key] = g
+        np.add.at(out, self.key, g)  # a key may repeat an index
         return (out,)
 
 

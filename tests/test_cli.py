@@ -210,6 +210,24 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("init-config", "--deterministic"), ("gen-corpus", "--deterministic"),
+    ("gen-task", "--deterministic"), ("eval", "--deterministic"),
+    ("eval", "--config=run.ini"), ("eval", "--seed=1")])
+def test_a_command_rejects_a_flag_it_would_ignore(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    required = {
+        "init-config": ["--out", str(out)],
+        "gen-corpus": ["--out", str(out), "--lines", "8"],
+        "gen-task": ["--out", str(out), "--language", "en"],
+        "eval": ["--corpus", str(tmp_path), "--model", str(tmp_path), "--out", str(out),
+                 str(tmp_path / "task_eval_en.tsv")],
+    }[command]
+    assert main([command, flag] + required) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validation_errors_exit_one(pipeline, tmp_path, capsys):
     code = main(["gen-task", "--config", str(pipeline["ini"]),
                  "--out", str(tmp_path), "--language", "zz"])
@@ -360,6 +378,7 @@ def test_gen_corpus_rejects_a_bad_language_list(tmp_path, capsys, languages):
     ("finetune", "epochs", "-1"),
     ("finetune", "num_classes", "1"),
     ("cascade", "steps_per_stage", "0"),
+    ("cascade", "end_depth", "6"),
     ("corpus", "smoothing_target_ratio", "-1"),
     ("corpus", "smoothing_target_ratio", "0.5"),
     ("corpus", "smoothing_target_ratio", "1"),
@@ -460,6 +479,21 @@ def test_a_vocabulary_wider_than_the_model_is_rejected_before_any_write(
     assert main([command, "--corpus", str(corpus)] + args) == 1
     err = capsys.readouterr().err
     assert str(vocab) in err and "size 256" in err and "vocab_size 64" in err
+    assert list(out.iterdir()) == [out / "metrics.jsonl"]
+    assert (out / "metrics.jsonl").read_bytes() == kept
+
+
+def test_a_cascade_teacher_of_the_wrong_depth_is_rejected_before_any_write(
+        pipeline, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    kept = b'{"loss": 1.0, "lr": 0.0, "stage": 0, "step": 0}\n'
+    (out / "metrics.jsonl").write_bytes(kept)
+    # The final student has 2 layers; the config's cascade starts at 3.
+    assert main(["cascade", "--config", str(pipeline["ini"]),
+                 "--corpus", str(pipeline["corpus"]),
+                 "--teacher", str(pipeline["run"] / "final"), "--out", str(out)]) == 1
+    assert "teacher has 2 layers, plan starts at 3" in capsys.readouterr().err
     assert list(out.iterdir()) == [out / "metrics.jsonl"]
     assert (out / "metrics.jsonl").read_bytes() == kept
 

@@ -532,9 +532,13 @@ def test_run_stage_pulls_exactly_its_steps_from_the_stream():
                                 optimizer=optimizer_config(micro_batch_size=micro),
                                 steps=3, warmup_steps=1)
         stream = CountingStream(itertools.cycle(random_batches(rng, 2)))
+        pulled = []
         with teacher_path(path):
-            run_stage(plan, teacher, stream, seed=0)
+            run_stage(plan, teacher, stream, seed=0,
+                      metrics=lambda r: pulled.append((r["step"], stream.pulled)))
         assert stream.pulled == plan.steps
+        # Each step pulls its own batch when it starts, and no later one.
+        assert pulled == [(step, step + 1) for step in range(plan.steps)], (path, micro)
 
 
 class FailingForward:
@@ -557,7 +561,7 @@ class FailingForward:
 ])
 def test_teacher_error_surfaces_at_its_micro_batch_step(error, message):
     # Two micro-batches per step: the fifth teacher call is step 2's first
-    # micro-batch, submitted while the student is on step 1.
+    # micro-batch, submitted when step 2 starts.
     plan = DistillStagePlan(teacher_depth=2, student_depth=1,
                             optimizer=optimizer_config(micro_batch_size=2), steps=4,
                             warmup_steps=1)

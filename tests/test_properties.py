@@ -147,7 +147,8 @@ def _tanh_row(draw, rng):
 
 
 SLICE_KEYS = (1, (slice(None), 0), (Ellipsis, slice(1, None)),
-              (slice(None), slice(None, None, 2)), (slice(None), slice(1, 3)))
+              (slice(None), slice(None, None, 2)), (slice(None), slice(1, 3)),
+              (slice(None), np.array([0, 0, 1])))
 
 
 def _slice_row(draw, rng):
