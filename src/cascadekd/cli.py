@@ -24,7 +24,6 @@ from .corpus import (
     Batch,
     TokenizerVocab,
     batch_stream,
-    class_marker,
     encode_batch,
     generate_labeled_task,
     generate_synthetic_corpus,
@@ -129,10 +128,7 @@ def cmd_gen_corpus(args) -> int:
     with open(out / LANGUAGES_FILE, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows((lang.name, repr(float(lang.size_bytes)))
                                  for lang in spec.languages)
-    markers = [class_marker(c) for c in range(config.finetune.num_classes)]
-    vocab = TokenizerVocab.build((text for _, text in lines),
-                                 config.corpus.vocab_size, extra_tokens=markers)
-    vocab.save(out / VOCAB_FILE)
+    config.vocabulary(text for _, text in lines).save(out / VOCAB_FILE)
     counts: dict[str, int] = {}
     for lang, _ in lines:
         counts[lang] = counts.get(lang, 0) + 1
@@ -145,27 +141,21 @@ def cmd_gen_corpus(args) -> int:
 def cmd_gen_task(args) -> int:
     config = _load_run_config(args)
     spec = config.corpus_spec()
-    names = [lang.name for lang in spec.languages]
-    if args.language not in names:
-        raise ValidationError(f"unknown language {args.language!r}; have {names}")
     for flag, count in (("--train-examples", args.train_examples),
                         ("--eval-examples", args.eval_examples)):
         if count < 1:
             raise ValidationError(f"{flag} must be >= 1, got {count}")
+    classes = config.finetune.num_classes
+    files = [("training", f"task_train_{args.language}.tsv", generate_labeled_task(
+        spec, args.language, args.train_examples, config.seeds.task, classes))]
+    files += [("eval", f"task_eval_{lang.name}.tsv", generate_labeled_task(
+        spec, lang.name, args.eval_examples, config.seeds.task + 6_151 * (i + 1), classes))
+        for i, lang in enumerate(spec.languages)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train_rows = generate_labeled_task(spec, args.language, args.train_examples,
-                                       config.seeds.task, config.finetune.num_classes)
-    train_path = out / f"task_train_{args.language}.tsv"
-    write_labeled(train_path, train_rows)
-    print(f"wrote {len(train_rows)} training examples to {train_path}")
-    for i, lang in enumerate(names):
-        rows = generate_labeled_task(spec, lang, args.eval_examples,
-                                     config.seeds.task + 6_151 * (i + 1),
-                                     config.finetune.num_classes)
-        path = out / f"task_eval_{lang}.tsv"
-        write_labeled(path, rows)
-        print(f"wrote {len(rows)} eval examples to {path}")
+    for kind, name, rows in files:
+        write_labeled(out / name, rows)
+        print(f"wrote {len(rows)} {kind} examples to {out / name}")
     return 0
 
 
@@ -192,7 +182,9 @@ def _distill_setup(args) -> tuple[RunConfig, EncoderModel, bool, Iterator[Batch]
 def cmd_cascade(args) -> int:
     config, teacher, dropout, batches = _distill_setup(args)
     plan = config.cascade_plan()
-    plan.check_teacher(teacher)
+    start = plan.stages[0].teacher_depth
+    if teacher.num_layers != start:
+        raise ValidationError(f"teacher has {teacher.num_layers} layers, plan starts at {start}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -321,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_training(p):
         add_config(p)
         p.add_argument("--deterministic", action="store_true",
-                       help="disable dropout for bit-reproducible runs")
+                       help="train without dropout")
 
     p = sub.add_parser("init-config", help="write the default configuration")
     add_config(p)

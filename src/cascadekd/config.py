@@ -12,8 +12,9 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, fields, replace
+from typing import Iterable
 
-from .corpus import CorpusSpec
+from .corpus import CorpusSpec, TokenizerVocab, class_marker
 from .distill import CascadePlan, build_cascade_plan
 from .encoder import ModelConfig
 from .errors import ValidationError
@@ -98,10 +99,15 @@ class RunConfig:
                 f"model vocab {self.model.vocab_size} != corpus vocab "
                 f"{self.corpus.vocab_size}")
         # Build what the commands build, so a bad value fails when the file
-        # is parsed rather than partway through a command.
-        self.cascade_plan()
-        self.finetune_config(self.seeds.finetune)
-        self.corpus_spec()
+        # is parsed rather than partway through a command, naming its section.
+        for section, build in (("pretrain", self.pretrain_optimizer),
+                               ("cascade", self.cascade_plan),
+                               ("finetune", lambda: self.finetune_config(self.seeds.finetune)),
+                               ("corpus", lambda: (self.corpus_spec(), self.vocabulary()))):
+            try:
+                build()
+            except ValidationError as exc:
+                raise ValidationError(f"[{section}] {exc}") from None
 
     def language_sizes(self) -> dict[str, float]:
         sizes = {}
@@ -130,6 +136,12 @@ class RunConfig:
             min_words_per_line=self.corpus.min_words_per_line,
             max_words_per_line=self.corpus.max_words_per_line,
             smoothing_target_ratio=self.corpus.smoothing_target_ratio)
+
+    def vocabulary(self, lines: Iterable[str] = ()) -> TokenizerVocab:
+        """The tokenizer vocabulary of `lines`, holding every class marker of
+        the fine-tuning task."""
+        markers = [class_marker(c) for c in range(self.finetune.num_classes)]
+        return TokenizerVocab.build(lines, self.corpus.vocab_size, extra_tokens=markers)
 
     def pretrain_optimizer(self) -> OptimizerConfig:
         return OptimizerConfig(

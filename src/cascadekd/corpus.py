@@ -7,6 +7,11 @@ from the smoothed distribution P'(lang) = P(lang)^S / sum_k P(k)^S, where
 P is proportional to on-disk size and S is solved so the largest and the
 smallest language hit a target probability ratio.
 
+Each input is checked once, where it enters: `CorpusSpec` rejects bad
+language sizes and a bad target ratio when it is built, so sampling and
+generation trust it; `TokenizerVocab.build` rejects extra tokens that do
+not fit the vocabulary.
+
 One line is one training example. Case is never folded.
 """
 
@@ -24,62 +29,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-
-# ---------------------------------------------------------------------------
-# language sampling
-# ---------------------------------------------------------------------------
-
-PROBABILITY_TOL = 1e-9
-
-
-def size_distribution(sizes: Mapping[str, float]) -> dict[str, float]:
-    """Raw language probabilities, proportional to size on disk."""
-    if not sizes:
-        raise ValidationError("no languages given")
-    for name, size in sizes.items():
-        if not 0 < size < math.inf:
-            raise ValidationError(
-                f"language {name!r} has size {size}; sizes must be finite and > 0")
-    total = float(sum(sizes.values()))
-    shares = {name: size / total for name, size in sizes.items()}
-    for name, share in shares.items():
-        if not 0 < share < math.inf:
-            raise ValidationError(
-                f"language {name!r} has share {share} of total size {total}; "
-                "shares must be finite and > 0")
-    return shares
-
-
-def solve_smoothing_exponent(p_a: float, p_b: float, target_ratio: float) -> float:
-    """Exponent S with (p_a/p_b)^S == target_ratio exactly.
-
-    The normalizer of the smoothed distribution cancels in the ratio, so
-    S = ln(target_ratio) / ln(p_a/p_b).
-    """
-    if target_ratio <= 0:
-        raise ValidationError(f"target ratio must be positive, got {target_ratio}")
-    if p_a <= 0 or p_b <= 0:
-        raise ValidationError("anchor probabilities must be positive")
-    if p_a == p_b:
-        raise ValidationError("anchor probabilities are equal; no exponent exists")
-    return float(np.log(target_ratio) / np.log(p_a / p_b))
-
-
-def exponentiate_distribution(probabilities: Mapping[str, float], exponent: float) -> dict[str, float]:
-    """Smoothed distribution P'(j) = P(j)^S / sum_k P(k)^S."""
-    if exponent <= 0:
-        raise ValidationError(f"exponent must be positive, got {exponent}")
-    if not probabilities:
-        raise ValidationError("empty distribution")
-    values = np.array(list(probabilities.values()), dtype=np.float64)
-    if (values <= 0).any():
-        raise ValidationError("probabilities must be positive")
-    if abs(values.sum() - 1.0) > PROBABILITY_TOL:
-        raise ValidationError(f"probabilities sum to {values.sum()}, not 1")
-    powered = values ** exponent
-    powered /= powered.sum()
-    return dict(zip(probabilities.keys(), powered.tolist()))
-
 
 # ---------------------------------------------------------------------------
 # synthetic language models
@@ -129,6 +78,24 @@ class CorpusSpec:
             raise ValidationError(
                 f"no alphabets left for {len(self.languages)} languages; at most "
                 f"{len(_ALPHABET_POOL) // _ALPHABET_CHUNK} fit")
+        for lang in self.languages:
+            if not 0 < lang.size_bytes < math.inf:
+                raise ValidationError(
+                    f"language {lang.name!r} has size {lang.size_bytes}; "
+                    "sizes must be finite and > 0")
+        sizes = [lang.size_bytes for lang in self.languages]
+        if not sum(sizes) < math.inf:
+            raise ValidationError(f"language sizes sum to {sum(sizes)}; the sum must be finite")
+        # The probabilities must realize the target ratio in float64: sizes
+        # spanning more than its range solve the exponent to 0, and sizes too
+        # close for the ratio raise every P^S to 0, leaving 0/0.
+        with np.errstate(all="ignore"):
+            probs = self.sampling_probabilities().values()
+        if min(sizes) < max(sizes) and not math.isclose(
+                max(probs), min(probs) * self.smoothing_target_ratio, rel_tol=1e-6):
+            raise ValidationError(
+                f"language sizes {min(sizes)} to {max(sizes)} cannot be smoothed to "
+                f"ratio {self.smoothing_target_ratio} in float64")
 
     @classmethod
     def from_sizes(cls, sizes: Mapping[str, float], **kwargs) -> "CorpusSpec":
@@ -136,15 +103,20 @@ class CorpusSpec:
         return cls(languages=langs, **kwargs)
 
     def sampling_probabilities(self) -> dict[str, float]:
-        """Smoothed probability of each language, with the exponent solved
-        so the largest language is `smoothing_target_ratio` times as likely
-        as the smallest. When those two are the same size (one language
-        included), the exponent is 1: the raw distribution, renormalized."""
-        raw = size_distribution({lang.name: lang.size_bytes for lang in self.languages})
-        largest, smallest = max(raw.values()), min(raw.values())
-        exponent = 1.0 if largest == smallest else solve_smoothing_exponent(
-            largest, smallest, self.smoothing_target_ratio)
-        return exponentiate_distribution(raw, exponent)
+        """Smoothed probability P(j)^S / sum_k P(k)^S of each language, P
+        proportional to size. The normalizer cancels in a ratio, so
+        S = ln(smoothing_target_ratio) / ln(P_max / P_min) makes the largest
+        language exactly that many times as likely as the smallest. When
+        those two are the same size (one language included), S = 1: the raw
+        distribution."""
+        total = float(sum(lang.size_bytes for lang in self.languages))
+        shares = np.array([lang.size_bytes / total for lang in self.languages])
+        largest, smallest = shares.max(), shares.min()
+        exponent = 1.0 if largest == smallest else float(
+            np.log(self.smoothing_target_ratio) / np.log(largest / smallest))
+        powered = shares ** exponent
+        powered /= powered.sum()
+        return dict(zip((lang.name for lang in self.languages), powered.tolist()))
 
 
 class _MarkovLanguage:
@@ -232,9 +204,10 @@ def generate_labeled_task(spec: CorpusSpec, language: str, num_examples: int,
                           seed: int, num_classes: int) -> list[tuple[str, int, str]]:
     """`(language, label, text)` rows; the label's marker token leads each
     line, followed by ordinary text in the requested language."""
-    index = next((i for i, lang in enumerate(spec.languages) if lang.name == language), None)
-    if index is None:
-        raise ValidationError(f"unknown language {language!r}")
+    names = [lang.name for lang in spec.languages]
+    if language not in names:
+        raise ValidationError(f"unknown language {language!r}; have {', '.join(names)}")
+    index = names.index(language)
     model = _MarkovLanguage(index, _language_seed(seed, index))
     rng = random.Random(seed * 69_069 + 13)
     rows = []
@@ -282,16 +255,20 @@ class TokenizerVocab:
     def build(cls, lines: Iterable[str], vocab_size: int,
               extra_tokens: Sequence[str] = ()) -> "TokenizerVocab":
         """Vocabulary of the most frequent whitespace tokens, with ties
-        broken lexicographically; `extra_tokens` are always included."""
+        broken lexicographically; `extra_tokens` are always included, and
+        a vocabulary too small to hold them all is an error."""
         if vocab_size < len(SPECIAL_TOKENS) + 1:
             raise ValidationError(f"vocab_size {vocab_size} too small")
+        token_to_id = {tok: i for i, tok in enumerate(SPECIAL_TOKENS)}
+        for tok in extra_tokens:
+            token_to_id.setdefault(tok, len(token_to_id))
+        if len(token_to_id) > vocab_size:
+            raise ValidationError(
+                f"vocab_size {vocab_size} has no room for extra tokens "
+                f"{', '.join(list(token_to_id)[vocab_size:])}")
         counts = Counter()
         for line in lines:
             counts.update(line.split())
-        token_to_id = {tok: i for i, tok in enumerate(SPECIAL_TOKENS)}
-        for tok in extra_tokens:
-            if tok not in token_to_id and len(token_to_id) < vocab_size:
-                token_to_id[tok] = len(token_to_id)
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         for tok, _ in ranked:
             if len(token_to_id) >= vocab_size:

@@ -15,6 +15,12 @@ activations are constants: no gradient ever reaches teacher weights.
 Padded positions carry arbitrary content, so masked-out positions are
 excluded from the hidden losses and padded query rows / key columns from
 the attention losses; divisors count only included elements.
+
+Each input is checked once, where it enters: `DistillStagePlan` holds the
+depth rule and its schedule, `build_cascade_plan` rejects depths unless
+start > end >= 1, `CascadePlan` checks that its stages chain, `run_stage`
+checks its teacher's depth before any step, and the losses check each
+trace pair they are given.
 """
 
 from __future__ import annotations
@@ -38,27 +44,6 @@ from .training import (
 )
 
 
-@dataclass(frozen=True)
-class LayerMapSpec:
-    """How teacher layers supervise student layers: the average of teacher
-    layers j and j+1 maps to student layer j (single-layer shrink)."""
-
-    student_depth: int
-    teacher_depth: int
-
-    def __post_init__(self):
-        if self.student_depth < 1:
-            raise ValidationError("student_depth must be >= 1")
-        if self.teacher_depth != self.student_depth + 1:
-            raise ValidationError(
-                f"teacher depth {self.teacher_depth} must be student depth "
-                f"{self.student_depth} + 1")
-
-    @classmethod
-    def for_traces(cls, teacher: ForwardTrace, student: ForwardTrace) -> "LayerMapSpec":
-        return cls(student_depth=student.depth, teacher_depth=teacher.depth)
-
-
 def top_layer_init(teacher: EncoderModel) -> EncoderModel:
     """Student initialized with the teacher's lowest n layers, top layer cut.
 
@@ -80,11 +65,19 @@ def top_layer_init(teacher: EncoderModel) -> EncoderModel:
 # losses
 # ---------------------------------------------------------------------------
 
+def _check_depths(teacher_depth: int, student_depth: int) -> None:
+    """The single-layer shrink: teacher layers j and j+1 supervise student
+    layer j, so the teacher has exactly one more layer than the student."""
+    if not teacher_depth == student_depth + 1 >= 2:
+        raise ValidationError(
+            f"teacher depth {teacher_depth} must be student depth {student_depth} + 1 >= 2")
+
+
 def _check_pair(teacher: ForwardTrace, student: ForwardTrace) -> tuple[np.ndarray, np.ndarray]:
     """Check that `student` is one layer shallower than `teacher`, traced on
     the same batch with the same shapes. Returns the include masks of the
     attention terms (query x key) and of the hidden terms."""
-    LayerMapSpec.for_traces(teacher, student)
+    _check_depths(teacher.depth, student.depth)
     if (len(teacher.hidden), len(student.hidden)) != (teacher.depth + 1, student.depth + 1):
         raise ValidationError("a trace needs one more hidden output than attention layers")
     mask = student.attention_mask
@@ -150,10 +143,8 @@ class DistillStagePlan:
     warmup_steps: int
 
     def __post_init__(self):
-        LayerMapSpec(student_depth=self.student_depth, teacher_depth=self.teacher_depth)
-        if self.steps < 1:
-            raise ValidationError("steps must be >= 1")
-        self.schedule()  # a bad warmup_steps fails here, not mid-cascade
+        _check_depths(self.teacher_depth, self.student_depth)
+        self.schedule()  # a bad step count or warmup fails here, not mid-cascade
 
     def schedule(self) -> ScheduleConfig:
         """The stage's trapezoid; warmup longer than the stage is clamped."""
@@ -163,34 +154,21 @@ class DistillStagePlan:
 
 @dataclass(frozen=True)
 class CascadePlan:
-    """Ordered shrink steps from start_depth down to end_depth: at least one."""
+    """Ordered shrink steps, at least one, each stage's student the next
+    stage's teacher."""
 
-    start_depth: int
-    end_depth: int
     stages: tuple[DistillStagePlan, ...]
 
     def __post_init__(self):
-        if self.end_depth < 1 or self.start_depth <= self.end_depth:
-            raise ValidationError(
-                f"bad cascade depths {self.start_depth} -> {self.end_depth}")
-        if len(self.stages) != self.start_depth - self.end_depth:
-            raise ValidationError(
-                f"{len(self.stages)} stages cannot take {self.start_depth} "
-                f"layers to {self.end_depth}")
-        depth = self.start_depth
-        for stage in self.stages:
-            if stage.teacher_depth != depth or stage.student_depth != depth - 1:
+        if not self.stages:
+            raise ValidationError("a cascade plan needs at least one stage")
+        for stage, following in zip(self.stages, self.stages[1:]):
+            if following.teacher_depth != stage.student_depth:
                 raise ValidationError("stages do not chain depths exactly")
-            depth -= 1
 
     @property
     def total_steps(self) -> int:
         return sum(stage.steps for stage in self.stages)
-
-    def check_teacher(self, teacher: EncoderModel) -> None:
-        if teacher.num_layers != self.start_depth:
-            raise ValidationError(
-                f"teacher has {teacher.num_layers} layers, plan starts at {self.start_depth}")
 
 
 def build_cascade_plan(start_depth: int, end_depth: int, optimizer: OptimizerConfig,
@@ -202,6 +180,8 @@ def build_cascade_plan(start_depth: int, end_depth: int, optimizer: OptimizerCon
     the deepest assistant decays more reliably that way): its warmup_steps
     is steps_per_stage. Later stages warm up over `warmup_steps`, then decay.
     """
+    if not start_depth > end_depth >= 1:
+        raise ValidationError(f"bad cascade depths {start_depth} -> {end_depth}")
     stages = []
     for i, depth in enumerate(range(start_depth, end_depth, -1)):
         full = i == 0 and first_stage_full_warmup
@@ -209,7 +189,7 @@ def build_cascade_plan(start_depth: int, end_depth: int, optimizer: OptimizerCon
             teacher_depth=depth, student_depth=depth - 1, optimizer=optimizer,
             steps=steps_per_stage,
             warmup_steps=steps_per_stage if full else warmup_steps))
-    return CascadePlan(start_depth=start_depth, end_depth=end_depth, stages=tuple(stages))
+    return CascadePlan(stages=tuple(stages))
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +324,9 @@ def run_cascade(plan: CascadePlan, teacher: EncoderModel, data_stream: Iterable[
 
     Stages consume contiguous, pairwise-disjoint slices of the batch
     stream, in order: `run_stage` reads exactly `stage.steps` batches, so
-    `batch_range` on each result is the slice the plan assigns it.
+    `batch_range` on each result is the slice the plan assigns it. A
+    teacher whose depth does not start the plan fails before any step.
     """
-    plan.check_teacher(teacher)
     stream = iter(data_stream)
     seed_rng = np.random.default_rng(seed)
     result = CascadeResult(final_model=teacher)

@@ -86,10 +86,6 @@ class ModelConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValidationError("dropout_rate must lie in [0, 1)")
 
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_dim // self.num_heads
-
     def forward_matmul_flops(self, batch: int, seq: int) -> int:
         """Matmul FLOPs (2 per multiply-add) of a full forward pass on a
         (batch, seq) input: the Q, K, V and output maps, the scores, the

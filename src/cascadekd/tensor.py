@@ -115,9 +115,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __len__(self) -> int:
-        return len(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -126,14 +123,8 @@ class Tensor:
     def __add__(self, other):
         return Add.apply(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return Add.apply(_as_tensor(other), self)
-
     def __mul__(self, other):
         return Mul.apply(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return Mul.apply(_as_tensor(other), self)
 
     def __getitem__(self, key):
         return Slice.apply(self, key=key)

@@ -184,6 +184,18 @@ def test_cascade_rerun_reproduces_metrics(pipeline, tmp_path):
     assert a == b
 
 
+def test_a_cascade_with_dropout_reruns_byte_identically(pipeline, tmp_path):
+    runs = [tmp_path / "first", tmp_path / "second"]
+    for out in runs:
+        assert main(["cascade", "--config", str(pipeline["ini"]),
+                     "--corpus", str(pipeline["corpus"]), "--out", str(out)]) == 0
+    for name in ("metrics.jsonl", f"final/{WEIGHTS_NAME}"):
+        first, second = ((out / name).read_bytes() for out in runs)
+        assert first == second
+        # Dropout was on: the fixture's --deterministic run differs.
+        assert first != (pipeline["run"] / name).read_bytes()
+
+
 def test_gen_corpus_rerun_is_byte_identical(pipeline, tmp_path):
     out = tmp_path / "corpus2"
     assert main(["gen-corpus", "--config", str(pipeline["ini"]),
@@ -230,9 +242,10 @@ def test_a_command_rejects_a_flag_it_would_ignore(tmp_path, capsys, command, fla
 
 def test_validation_errors_exit_one(pipeline, tmp_path, capsys):
     code = main(["gen-task", "--config", str(pipeline["ini"]),
-                 "--out", str(tmp_path), "--language", "zz"])
+                 "--out", str(tmp_path / "task"), "--language", "zz"])
     assert code == 1
-    assert "unknown language" in capsys.readouterr().err
+    assert "unknown language 'zz'; have aa, bb" in capsys.readouterr().err
+    assert not (tmp_path / "task").exists()
     # eval before finetune: checkpoint has no head
     code = main(["eval", "--corpus", str(pipeline["corpus"]),
                  "--model", str(pipeline["run"] / "final"),
@@ -331,7 +344,8 @@ def test_init_config_round_trip(tmp_path):
 def test_the_paper_config_builds_the_published_operating_point(paper_ini, tmp_path):
     config = parse_config(paper_ini)
     plan = config.cascade_plan()
-    assert (plan.start_depth, plan.end_depth, len(plan.stages)) == (12, 6, 6)
+    assert (plan.stages[0].teacher_depth, plan.stages[-1].student_depth,
+            len(plan.stages)) == (12, 6, 6)
     assert plan.total_steps == 399_996
     assert [s.steps for s in plan.stages] == [66_666] * 6
     assert [s.warmup_steps for s in plan.stages] == [66_666] + [6_666] * 5
@@ -357,16 +371,24 @@ def test_seed_override_changes_corpus(pipeline, tmp_path):
         (pipeline["corpus"] / "corpus.tsv").read_bytes()
 
 
-@pytest.mark.parametrize("languages", [
-    "en:nan,es:65536", "en:inf,es:65536", "en:0,es:65536", "en:-1,es:65536",
-    "en:1048576,en:1024,es:65536", "en:1e308,es:1e308"])
+BAD_LANGUAGE_LISTS = {
+    "en:nan,es:65536": "language 'en' has size nan",
+    "en:inf,es:65536": "language 'en' has size inf",
+    "en:0,es:65536": "language 'en' has size 0.0",
+    "en:-1,es:65536": "language 'en' has size -1.0",
+    "en:1048576,en:1024,es:65536": "language 'en' is listed twice",
+    "en:1e308,es:1e308": "language sizes sum to inf",
+}
+
+
+@pytest.mark.parametrize("languages", list(BAD_LANGUAGE_LISTS))
 def test_gen_corpus_rejects_a_bad_language_list(tmp_path, capsys, languages):
     ini = tmp_path / "run.ini"
     ini.write_text(f"[corpus]\nlanguages = {languages}\n")
     out = tmp_path / "corpus"
     assert main(["gen-corpus", "--config", str(ini), "--out", str(out)]) == 1
-    assert "error: language 'en'" in capsys.readouterr().err
-    assert not (out / "corpus.tsv").exists()
+    assert f"error: [corpus] {BAD_LANGUAGE_LISTS[languages]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -379,6 +401,13 @@ def test_gen_corpus_rejects_a_bad_language_list(tmp_path, capsys, languages):
     ("finetune", "num_classes", "1"),
     ("cascade", "steps_per_stage", "0"),
     ("cascade", "end_depth", "6"),
+    ("cascade", "end_depth", "0"),
+    ("corpus", "languages", "en:0,es:5"),
+    ("corpus", "languages", "en:1e308,es:1e308"),
+    ("corpus", "languages", "en:1000,es:1001"),
+    # three class markers and the four special tokens need seven ids
+    pytest.param("corpus", "vocab_size", "6\n[model]\nvocab_size = 6",
+                 id="corpus-vocab_size-6-model-vocab_size-6"),
     ("corpus", "smoothing_target_ratio", "-1"),
     ("corpus", "smoothing_target_ratio", "0.5"),
     ("corpus", "smoothing_target_ratio", "1"),
@@ -392,7 +421,8 @@ def test_a_bad_section_value_fails_when_the_config_is_parsed(tmp_path, capsys,
     ini.write_text(f"[{section}]\n{key} = {value}\n")
     out = tmp_path / "out.ini"
     assert main(["init-config", "--config", str(ini), "--out", str(out)]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [{section}] ") and err.count("\n") == 1
     assert not out.exists()
 
 

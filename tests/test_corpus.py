@@ -1,6 +1,6 @@
-"""Corpus machinery: smoothing math against hand values, synthetic
-generation statistics, tokenizer behavior, batch layout, file round
-trips."""
+"""Corpus machinery: smoothing math against hand values and its input
+checks, synthetic generation statistics, tokenizer behavior, batch
+layout, file round trips."""
 
 import numpy as np
 import pytest
@@ -15,14 +15,11 @@ from cascadekd.corpus import (
     class_marker,
     encode,
     encode_batch,
-    exponentiate_distribution,
     generate_labeled_task,
     generate_synthetic_corpus,
     read_corpus,
     read_labeled,
     shuffle_lines,
-    size_distribution,
-    solve_smoothing_exponent,
     write_corpus,
     write_labeled,
 )
@@ -33,78 +30,79 @@ from cascadekd.errors import ValidationError
 # smoothing math
 # ---------------------------------------------------------------------------
 
+def smoothed_probabilities(sizes, ratio):
+    return CorpusSpec.from_sizes(sizes, smoothing_target_ratio=ratio).sampling_probabilities()
+
+
 def test_size_distribution():
-    probs = size_distribution({"a": 30, "b": 10})
-    assert probs == {"a": 0.75, "b": 0.25}
-    with pytest.raises(ValidationError, match="no languages given"):
-        size_distribution({})
+    # At the raw size ratio the exponent is 1: probabilities are size shares.
+    assert smoothed_probabilities({"a": 30, "b": 10}, 3.0) == {"a": 0.75, "b": 0.25}
+    with pytest.raises(ValidationError, match="needs at least one language"):
+        CorpusSpec.from_sizes({})
     with pytest.raises(ValidationError, match="has size 0"):
-        size_distribution({"a": 0})
+        CorpusSpec.from_sizes({"a": 0})
 
 
 @pytest.mark.parametrize("size", [float("nan"), float("inf"), 0.0, -1.0])
 def test_size_distribution_rejects_a_size_that_is_not_finite_and_positive(size):
     with pytest.raises(ValidationError, match="'b'"):
-        size_distribution({"a": 10.0, "b": size})
+        CorpusSpec.from_sizes({"a": 10.0, "b": size})
 
 
 def test_solve_exponent_hand_value():
-    # probability ratio 10^4 squeezed to 100 needs S = ln(100)/ln(10^4) = 1/2
-    s = solve_smoothing_exponent(1e-1, 1e-5, 100.0)
-    assert np.isclose(s, 0.5)
+    # probability ratio 10^4 squeezed to 100 needs S = ln(100)/ln(10^4) = 1/2,
+    # so the weights are 100 : 1
+    probs = smoothed_probabilities({"big": 1e4, "small": 1.0}, 100.0)
+    assert np.allclose([probs["big"], probs["small"]], [100 / 101, 1 / 101],
+                       rtol=1e-12, atol=0)
 
 
 def test_solve_exponent_restores_ratio_exactly():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        raw = rng.random(4) + 1e-3
-        raw /= raw.sum()
-        p = dict(zip("abcd", raw))
-        hi = max(p, key=p.get)
-        lo = min(p, key=p.get)
-        if p[hi] == p[lo]:
-            continue
+        sizes = dict(zip("abcd", (rng.random(4) + 1e-3).tolist()))
+        hi = max(sizes, key=sizes.get)
+        lo = min(sizes, key=sizes.get)
         ratio = float(rng.uniform(1.5, 500.0))
-        s = solve_smoothing_exponent(p[hi], p[lo], ratio)
-        smoothed = exponentiate_distribution(p, s)
-        assert abs(smoothed[hi] / smoothed[lo] - ratio) < 1e-9 * ratio
+        probs = smoothed_probabilities(sizes, ratio)
+        assert abs(probs[hi] / probs[lo] - ratio) < 1e-9 * ratio
 
 
 def test_solve_exponent_errors():
-    with pytest.raises(ValidationError, match="target ratio must be positive"):
-        solve_smoothing_exponent(0.8, 0.2, 0.0)
-    with pytest.raises(ValidationError, match="anchor probabilities are equal"):
-        solve_smoothing_exponent(0.5, 0.5, 100.0)
-    with pytest.raises(ValidationError, match="anchor probabilities must be positive"):
-        solve_smoothing_exponent(0.0, 0.5, 100.0)
+    # Every input of the exponent is checked when the spec is built.
+    with pytest.raises(ValidationError, match="smoothing_target_ratio must be finite and > 1"):
+        CorpusSpec.from_sizes({"a": 8, "b": 2}, smoothing_target_ratio=0.0)
+    with pytest.raises(ValidationError, match="language 'a' has size 0.0"):
+        CorpusSpec.from_sizes({"a": 0.0, "b": 2})
+    with pytest.raises(ValidationError, match="language sizes sum to inf"):
+        CorpusSpec.from_sizes({"a": 1e308, "b": 1e308})
 
 
 def test_exponentiate_hand_value():
-    # sqrt weights of {0.8, 0.2} normalize to {2/3, 1/3}
-    smoothed = exponentiate_distribution({"a": 0.8, "b": 0.2}, 0.5)
-    assert np.isclose(smoothed["a"], 2.0 / 3.0)
-    assert np.isclose(smoothed["b"], 1.0 / 3.0)
+    # sizes 8 : 2 at ratio 2 give S = 1/2, and sqrt weights of {0.8, 0.2}
+    # normalize to {2/3, 1/3}
+    probs = smoothed_probabilities({"a": 8, "b": 2}, 2.0)
+    assert np.isclose(probs["a"], 2.0 / 3.0)
+    assert np.isclose(probs["b"], 1.0 / 3.0)
 
 
 def test_exponentiate_errors():
-    with pytest.raises(ValidationError, match="exponent must be positive"):
-        exponentiate_distribution({"a": 1.0}, 0.0)
-    with pytest.raises(ValidationError, match="probabilities sum to"):
-        exponentiate_distribution({"a": 0.7, "b": 0.2}, 0.5)
-    with pytest.raises(ValidationError, match="empty distribution"):
-        exponentiate_distribution({}, 0.5)
+    # A spread past the float range solves the exponent to 0 and would
+    # flatten the distribution; sizes too close for ratio 100 need S = 4605,
+    # which raises both shares to 0. An empty spec has nothing to exponentiate.
+    for sizes in ({"a": 1.0, "b": 1e-310}, {"a": 1000, "b": 1001}):
+        with pytest.raises(ValidationError, match="cannot be smoothed to ratio 100.0 in float64"):
+            CorpusSpec.from_sizes(sizes)
+    with pytest.raises(ValidationError, match="needs at least one language"):
+        CorpusSpec(languages=())
 
 
 def test_exponentiate_preserves_order():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        raw = rng.random(5) + 1e-3
-        raw /= raw.sum()
-        p = dict(zip("abcde", raw))
-        s = float(rng.uniform(0.05, 3.0))
-        smoothed = exponentiate_distribution(p, s)
-        order = sorted(p, key=p.get)
-        assert order == sorted(smoothed, key=smoothed.get)
+        sizes = dict(zip("abcde", (rng.random(5) + 1e-3).tolist()))
+        probs = smoothed_probabilities(sizes, float(rng.uniform(1.5, 500.0)))
+        assert sorted(sizes, key=sizes.get) == sorted(probs, key=probs.get)
 
 
 def test_language_table_from_sizes():
@@ -201,7 +199,7 @@ def test_labeled_task_shape():
     assert seen == {0, 1, 2}
     again = generate_labeled_task(spec, "es", 100, seed=9, num_classes=3)
     assert rows == again
-    with pytest.raises(ValidationError, match="unknown language 'fr'"):
+    with pytest.raises(ValidationError, match="unknown language 'fr'; have en, es, de, ur"):
         generate_labeled_task(spec, "fr", 10, seed=0, num_classes=3)
 
 
@@ -230,6 +228,10 @@ def test_vocab_extra_tokens_and_limits():
     assert vocab.id_for("y") == vocab.unk_id
     with pytest.raises(ValidationError, match="vocab_size 4 too small"):
         TokenizerVocab.build(["x"], vocab_size=4)
+    # Four specials and two markers fill six ids; a third marker would
+    # encode as [UNK].
+    with pytest.raises(ValidationError, match="vocab_size 6 has no room for extra tokens LBL2"):
+        TokenizerVocab.build(["x y z"], vocab_size=6, extra_tokens=("LBL0", "LBL1", "LBL2"))
 
 
 def test_vocab_round_trip(tmp_path):

