@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Subcommands cover the whole pipeline: synthesize a corpus and a labeled
-task, run the shrink cascade (or one stage of it), fine-tune a shrunken
-checkpoint, score it per language, and render the accuracy table.
+task, run the shrink cascade, fine-tune a shrunken checkpoint, score it
+per language, and render the accuracy table.
 
 Exit codes: 0 on success, 1 for configuration or usage problems, 2 for
 runtime failures (I/O, corrupt checkpoints, numerical blowups).
@@ -33,8 +33,8 @@ from .corpus import (
     write_corpus,
     write_labeled,
 )
-from .distill import DistillStagePlan, run_cascade, run_stage
-from .encoder import EncoderModel, ModelConfig, init_random
+from .distill import run_cascade
+from .encoder import ModelConfig, init_random
 from .errors import CascadeKDError, ValidationError
 from .reporting import MetricsWriter, emit_report
 from .training import accuracy, fine_tune, zero_shot_eval
@@ -159,32 +159,16 @@ def cmd_gen_task(args) -> int:
     return 0
 
 
-def _resolve_teacher(args, config: RunConfig) -> EncoderModel:
-    if args.teacher:
-        return load_checkpoint(args.teacher).model
-    return init_random(config.model, config.seeds.cascade)
-
-
-def _distill_setup(args) -> tuple[RunConfig, EncoderModel, bool, Iterator[Batch]]:
-    """The inputs `cascade` and `distill` share, loaded and checked: the run
-    config, the teacher, the dropout flag and the batch stream. Nothing is
-    written; each command makes its output directory once its plan holds."""
-    config = _load_run_config(args)
-    teacher = _resolve_teacher(args, config)
-    vocab = _load_vocab(args.corpus, teacher.config)
-    texts = _load_texts(args.corpus)
-    dropout = config.pretrain.dropout and not args.deterministic
-    batches = _recycling_batches(texts, vocab, teacher.config.max_seq_len,
-                                 config.pretrain.batch_size, config.seeds.shuffle)
-    return config, teacher, dropout, batches
-
-
 def cmd_cascade(args) -> int:
-    config, teacher, dropout, batches = _distill_setup(args)
-    plan = config.cascade_plan()
-    start = plan.stages[0].teacher_depth
-    if teacher.num_layers != start:
-        raise ValidationError(f"teacher has {teacher.num_layers} layers, plan starts at {start}")
+    config = _load_run_config(args)
+    if args.teacher:
+        teacher = load_checkpoint(args.teacher).model
+    else:
+        teacher = init_random(config.model, config.seeds.cascade)
+    plan = config.cascade_plan(teacher.num_layers)
+    vocab = _load_vocab(args.corpus, teacher.config)
+    batches = _recycling_batches(_load_texts(args.corpus), vocab, teacher.config.max_seq_len,
+                                 config.pretrain.batch_size, config.seeds.shuffle)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -200,30 +184,12 @@ def cmd_cascade(args) -> int:
                   f"loss {first:.6g} -> {last:.6g}")
 
         result = run_cascade(plan, teacher, batches, config.seeds.cascade,
-                             dropout=dropout, metrics=writer.write,
+                             dropout=not args.deterministic, metrics=writer.write,
                              on_stage_done=on_stage_done)
     save_checkpoint(out / "final", result.final_model,
                     stage_index=len(plan.stages) - 1,
                     step_count=plan.total_steps)
     print(f"final model: {result.final_model.num_layers} layers -> {out / 'final'}")
-    return 0
-
-
-def cmd_distill(args) -> int:
-    config, teacher, dropout, batches = _distill_setup(args)
-    steps = args.steps if args.steps is not None else config.cascade.steps_per_stage
-    plan = DistillStagePlan(
-        teacher_depth=teacher.num_layers, student_depth=teacher.num_layers - 1,
-        optimizer=config.pretrain_optimizer(), steps=steps,
-        warmup_steps=config.cascade.warmup_steps)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with MetricsWriter(out / METRICS_FILE) as writer:
-        student, trace = run_stage(plan, teacher, batches, config.seeds.cascade,
-                                   dropout=dropout, metrics=writer.write)
-    save_checkpoint(out / "student", student, step_count=len(trace))
-    print(f"distilled {teacher.num_layers} -> {student.num_layers} layers, "
-          f"loss {trace[0]:.6g} -> {trace[-1]:.6g}")
     return 0
 
 
@@ -334,23 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-examples", type=int, default=128)
     p.set_defaults(func=cmd_gen_task)
 
-    p = sub.add_parser("cascade", help="run every shrink stage")
+    p = sub.add_parser("cascade",
+                       help="shrink a teacher one layer per stage to [cascade] end_depth")
     add_training(p)
     p.add_argument("--corpus", required=True, help="directory from gen-corpus")
     p.add_argument("--out", required=True, help="run output directory")
     p.add_argument("--teacher", help="teacher checkpoint (random init when omitted)")
     p.set_defaults(func=cmd_cascade)
-
-    p = sub.add_parser("distill", help="run a single shrink stage")
-    add_training(p)
-    p.add_argument("--corpus", required=True, help="directory from gen-corpus")
-    p.add_argument("--out", required=True, help="run output directory")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--teacher", help="teacher checkpoint")
-    source.add_argument("--random-teacher", action="store_true",
-                        help="start from a randomly initialized teacher")
-    p.add_argument("--steps", type=int, help="override [cascade] steps_per_stage")
-    p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("finetune", help="fine-tune a checkpoint on labeled data")
     add_training(p)

@@ -26,6 +26,7 @@ PRETRAIN_EPSILON = 1e-9
 
 @dataclass(frozen=True)
 class CascadeSection:
+    # Must equal [model] num_layers; the plan starts at the teacher's depth.
     start_depth: int = 6
     end_depth: int = 3
     steps_per_stage: int = 300
@@ -41,7 +42,6 @@ class PretrainSection:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = PRETRAIN_EPSILON
-    dropout: bool = True
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ class FinetuneSection:
     epochs: int = 12
     epsilon: float = 2e-7
     num_classes: int = 3
-    dropout: bool = True
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ class RunConfig:
         # Build what the commands build, so a bad value fails when the file
         # is parsed rather than partway through a command, naming its section.
         for section, build in (("pretrain", self.pretrain_optimizer),
-                               ("cascade", self.cascade_plan),
+                               ("cascade", lambda: self.cascade_plan(self.model.num_layers)),
                                ("finetune", lambda: self.finetune_config(self.seeds.finetune)),
                                ("corpus", lambda: (self.corpus_spec(), self.vocabulary()))):
             try:
@@ -120,6 +119,8 @@ class RunConfig:
                     f"language entry {part!r} is not name:size")
             name, _, size = part.partition(":")
             name = name.strip()
+            if not name:
+                raise ValidationError(f"language entry {part!r} has no name")
             if name in sizes:
                 raise ValidationError(f"language {name!r} is listed twice")
             try:
@@ -150,9 +151,11 @@ class RunConfig:
             beta1=self.pretrain.beta1, beta2=self.pretrain.beta2,
             epsilon=self.pretrain.epsilon)
 
-    def cascade_plan(self) -> CascadePlan:
+    def cascade_plan(self, start_depth: int) -> CascadePlan:
+        """The plan that shrinks a teacher of `start_depth` layers down to
+        `[cascade] end_depth`."""
         return build_cascade_plan(
-            self.cascade.start_depth, self.cascade.end_depth,
+            start_depth, self.cascade.end_depth,
             self.pretrain_optimizer(),
             steps_per_stage=self.cascade.steps_per_stage,
             warmup_steps=self.cascade.warmup_steps,
@@ -165,7 +168,7 @@ class RunConfig:
             epsilon=self.finetune.epsilon)
         return FineTuneConfig(optimizer=optimizer, epochs=self.finetune.epochs,
                               num_classes=self.finetune.num_classes,
-                              seed=seed, dropout=self.finetune.dropout)
+                              seed=seed)
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seeds=self.seeds.override_all(seed))

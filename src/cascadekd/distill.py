@@ -18,9 +18,9 @@ the attention losses; divisors count only included elements.
 
 Each input is checked once, where it enters: `DistillStagePlan` holds the
 depth rule and its schedule, `build_cascade_plan` rejects depths unless
-start > end >= 1, `CascadePlan` checks that its stages chain, `run_stage`
-checks its teacher's depth before any step, and the losses check each
-trace pair they are given.
+start > end >= 1 and stages of fewer than one step, `CascadePlan` checks
+that its stages chain, `run_stage` checks its teacher's depth before any
+step, and the losses check each trace pair they are given.
 """
 
 from __future__ import annotations
@@ -181,7 +181,10 @@ def build_cascade_plan(start_depth: int, end_depth: int, optimizer: OptimizerCon
     is steps_per_stage. Later stages warm up over `warmup_steps`, then decay.
     """
     if not start_depth > end_depth >= 1:
-        raise ValidationError(f"bad cascade depths {start_depth} -> {end_depth}")
+        raise ValidationError(f"cannot shrink a {start_depth}-layer teacher to end_depth "
+                              f"{end_depth}: need {start_depth} > end_depth >= 1")
+    if steps_per_stage < 1:
+        raise ValidationError(f"steps_per_stage must be >= 1, got {steps_per_stage}")
     stages = []
     for i, depth in enumerate(range(start_depth, end_depth, -1)):
         full = i == 0 and first_stage_full_warmup

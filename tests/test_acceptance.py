@@ -182,7 +182,8 @@ def test_criterion_3_initialization_and_plan(paper_ini):
     shared = (student.token_embeddings is teacher.token_embeddings
               and student.position_embeddings is teacher.position_embeddings)
 
-    plan = parse_config(paper_ini).cascade_plan()
+    paper = parse_config(paper_ini)
+    plan = paper.cascade_plan(paper.model.num_layers)
     plan_ok = (len(plan.stages) == 6 and plan.total_steps == 399_996
                and [s.teacher_depth for s in plan.stages] == list(range(12, 6, -1)))
     ok = layers_copied and distinct and shared and plan_ok
@@ -386,7 +387,7 @@ def _pipeline(run_config: RunConfig, out_dir) -> None:
     batches = batch_stream(texts, vocab, run_config.model.max_seq_len,
                            run_config.pretrain.batch_size)
     with MetricsWriter(out_dir / "metrics.jsonl") as writer:
-        result = run_cascade(run_config.cascade_plan(), teacher, batches,
+        result = run_cascade(run_config.cascade_plan(teacher.num_layers), teacher, batches,
                              run_config.seeds.cascade, metrics=writer.write)
     save_checkpoint(out_dir / "final", result.final_model)
 

@@ -44,6 +44,10 @@ total_lines = 96
 vocab_size = 64
 """
 
+# One stage more: shrinks the pipeline's 2-layer final model to 1 layer,
+# or a random 3-layer teacher in two stages.
+ONE_MORE_STAGE_INI = TINY_INI.replace("end_depth = 2", "end_depth = 1")
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -51,6 +55,8 @@ def pipeline(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
     ini = root / "run.ini"
     ini.write_text(TINY_INI)
+    one_more_ini = root / "one_more.ini"
+    one_more_ini.write_text(ONE_MORE_STAGE_INI)
     corpus = root / "corpus"
     task = root / "task"
     run = root / "run"
@@ -72,7 +78,8 @@ def pipeline(tmp_path_factory):
                  str(task / "task_eval_bb.tsv")]) == 0
     report = root / "report.txt"
     assert main(["report", "--out", str(report), str(result)]) == 0
-    return {"root": root, "ini": ini, "corpus": corpus, "task": task,
+    return {"root": root, "ini": ini, "one_more_ini": one_more_ini,
+            "corpus": corpus, "task": task,
             "run": run, "report": report, "result": result}
 
 
@@ -131,44 +138,40 @@ def test_report_table(pipeline):
     assert lines[1].startswith("student-2")
 
 
-def test_distill_single_stage(pipeline, tmp_path):
-    run = pipeline["run"]
+def test_cascade_shrinks_a_checkpoint_to_end_depth(pipeline, tmp_path):
     out = tmp_path / "single"
-    assert main(["distill", "--config", str(pipeline["ini"]),
+    assert main(["cascade", "--config", str(pipeline["one_more_ini"]),
                  "--corpus", str(pipeline["corpus"]),
-                 "--teacher", str(run / "final"), "--out", str(out),
-                 "--steps", "4", "--deterministic"]) == 0
-    student = load_checkpoint(out / "student")
-    assert student.model.num_layers == 1
-    assert len(read_metrics(out / "metrics.jsonl")) == 4
+                 "--teacher", str(pipeline["run"] / "final"), "--out", str(out),
+                 "--deterministic"]) == 0
+    assert sorted(path.name for path in out.iterdir()) == [
+        "final", "metrics.jsonl", "stage_0_depth_1"]
+    assert load_checkpoint(out / "final").model.num_layers == 1
+    assert (out / "final" / WEIGHTS_NAME).read_bytes() == \
+        (out / "stage_0_depth_1" / WEIGHTS_NAME).read_bytes()
+    assert len(read_metrics(out / "metrics.jsonl")) == 6
 
 
-def test_distill_rerun_rewrites_metrics(pipeline, tmp_path):
+def test_cascade_rerun_rewrites_metrics(pipeline, tmp_path):
     out = tmp_path / "rerun"
-    argv = ["distill", "--config", str(pipeline["ini"]),
-            "--corpus", str(pipeline["corpus"]), "--random-teacher",
-            "--out", str(out), "--steps", "4", "--deterministic"]
+    argv = ["cascade", "--config", str(pipeline["ini"]),
+            "--corpus", str(pipeline["corpus"]), "--out", str(out), "--deterministic"]
     assert main(argv) == 0
     first = (out / "metrics.jsonl").read_bytes()
     assert main(argv) == 0
-    assert len(read_metrics(out / "metrics.jsonl")) == 4
+    assert len(read_metrics(out / "metrics.jsonl")) == 6
     assert (out / "metrics.jsonl").read_bytes() == first
 
 
-def test_distill_random_teacher(pipeline, tmp_path):
+def test_a_cascade_without_a_teacher_starts_at_num_layers(pipeline, tmp_path):
     out = tmp_path / "rt"
-    assert main(["distill", "--config", str(pipeline["ini"]),
-                 "--corpus", str(pipeline["corpus"]),
-                 "--random-teacher", "--out", str(out),
-                 "--steps", "2", "--deterministic"]) == 0
-    # config model has 3 layers, so the student has 2
-    assert load_checkpoint(out / "student").model.num_layers == 2
-    # teacher source is required and exclusive
-    assert main(["distill", "--config", str(pipeline["ini"]),
-                 "--corpus", str(pipeline["corpus"]), "--out", str(out)]) == 1
-    assert main(["distill", "--config", str(pipeline["ini"]),
+    assert main(["cascade", "--config", str(pipeline["one_more_ini"]),
                  "--corpus", str(pipeline["corpus"]), "--out", str(out),
-                 "--random-teacher", "--teacher", "x"]) == 1
+                 "--deterministic"]) == 0
+    # The config's model has 3 layers, so two stages reach end_depth 1.
+    assert (out / "stage_0_depth_2").is_dir() and (out / "stage_1_depth_1").is_dir()
+    assert load_checkpoint(out / "final").model.num_layers == 1
+    assert len(read_metrics(out / "metrics.jsonl")) == 12
 
 
 def test_cascade_rerun_reproduces_metrics(pipeline, tmp_path):
@@ -219,6 +222,8 @@ def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1
     assert main(["cascade"]) == 1  # missing required arguments
+    # `cascade` runs a single stage too; there is no second training command.
+    assert main(["distill", "--corpus", "corpus", "--out", "out", "--random-teacher"]) == 1
     capsys.readouterr()
 
 
@@ -321,10 +326,9 @@ def test_runtime_errors_exit_two(pipeline, tmp_path, capsys):
     raw = bytearray(weights.read_bytes())
     raw[0] ^= 0xFF
     weights.write_bytes(bytes(raw))
-    code = main(["distill", "--config", str(pipeline["ini"]),
+    code = main(["cascade", "--config", str(pipeline["ini"]),
                  "--corpus", str(pipeline["corpus"]),
-                 "--teacher", str(broken), "--out", str(tmp_path / "out"),
-                 "--steps", "1"])
+                 "--teacher", str(broken), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "digest" in capsys.readouterr().err
     # missing corpus directory
@@ -343,7 +347,7 @@ def test_init_config_round_trip(tmp_path):
 
 def test_the_paper_config_builds_the_published_operating_point(paper_ini, tmp_path):
     config = parse_config(paper_ini)
-    plan = config.cascade_plan()
+    plan = config.cascade_plan(config.model.num_layers)
     assert (plan.stages[0].teacher_depth, plan.stages[-1].student_depth,
             len(plan.stages)) == (12, 6, 6)
     assert plan.total_steps == 399_996
@@ -403,6 +407,7 @@ def test_gen_corpus_rejects_a_bad_language_list(tmp_path, capsys, languages):
     ("cascade", "end_depth", "6"),
     ("cascade", "end_depth", "0"),
     ("corpus", "languages", "en:0,es:5"),
+    ("corpus", "languages", ":5,es:7"),
     ("corpus", "languages", "en:1e308,es:1e308"),
     ("corpus", "languages", "en:1000,es:1001"),
     # three class markers and the four special tokens need seven ids
@@ -426,6 +431,13 @@ def test_a_bad_section_value_fails_when_the_config_is_parsed(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_a_stage_length_below_one_names_its_key(tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[cascade]\nsteps_per_stage = 0\n")
+    assert main(["init-config", "--config", str(ini), "--out", str(tmp_path / "out.ini")]) == 1
+    assert "error: [cascade] steps_per_stage must be >= 1, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, reason", [
     (b"peak_lr = 1\n", "no section headers"),
     (b"[pretrain]\npeak_lr = 1\npeak_lr = 2\n",
@@ -445,9 +457,13 @@ def test_an_ini_that_configparser_rejects_exits_one(tmp_path, capsys, text, reas
 @pytest.mark.parametrize("section, key, value", [
     ("model", "attention_capture", "pre_softmax_scaled"),
     ("pretrain", "embeddings_frozen", "True"),
-    ("pretrain", "weight_decay", "0.0")])
+    ("pretrain", "weight_decay", "0.0"),
+    ("pretrain", "dropout", "off"),
+    ("finetune", "dropout", "off")])
 def test_a_removed_key_is_an_unknown_key(tmp_path, capsys, section, key, value):
-    # An INI written before these options became fixed choices fails loudly.
+    # An INI written before these keys were removed fails loudly: the first
+    # three are fixed choices now, and `--deterministic` or `[model]
+    # dropout_rate` turns dropout off.
     ini = tmp_path / "old.ini"
     ini.write_text(f"[{section}]\n{key} = {value}\n")
     out = tmp_path / "out.ini"
@@ -484,9 +500,9 @@ def test_a_vocabulary_without_the_special_ids_is_rejected(tmp_path, capsys, toke
     assert str(vocab) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["cascade", "distill", "finetune", "eval"])
+@pytest.mark.parametrize("case", ["cascade", "cascade-teacher", "finetune", "eval"])
 def test_a_vocabulary_wider_than_the_model_is_rejected_before_any_write(
-        pipeline, tmp_path, capsys, command):
+        pipeline, tmp_path, capsys, case):
     corpus = tmp_path / "corpus"
     assert main(["gen-corpus", "--out", str(corpus), "--lines", "200"]) == 0
     vocab = corpus / "vocab.json"
@@ -497,16 +513,17 @@ def test_a_vocabulary_wider_than_the_model_is_rejected_before_any_write(
     kept = b'{"loss": 1.0, "lr": 0.0, "stage": 0, "step": 0}\n'
     (out / "metrics.jsonl").write_bytes(kept)
     run, task = pipeline["run"], pipeline["task"]
-    args = {
-        "cascade": ["--config", str(pipeline["ini"]), "--out", str(out)],
-        "distill": ["--teacher", str(run / "final"), "--out", str(out)],
-        "finetune": ["--model", str(run / "final"), "--out", str(out),
+    argv = {
+        "cascade": ["cascade", "--config", str(pipeline["ini"]), "--out", str(out)],
+        "cascade-teacher": ["cascade", "--config", str(pipeline["one_more_ini"]),
+                            "--teacher", str(run / "final"), "--out", str(out)],
+        "finetune": ["finetune", "--model", str(run / "final"), "--out", str(out),
                      "--train", str(task / "task_train_aa.tsv")],
-        "eval": ["--model", str(run / "finetuned"), "--out", str(out / "eval.json"),
+        "eval": ["eval", "--model", str(run / "finetuned"), "--out", str(out / "eval.json"),
                  str(task / "task_eval_aa.tsv")],
-    }[command]
+    }[case]
     capsys.readouterr()
-    assert main([command, "--corpus", str(corpus)] + args) == 1
+    assert main(argv + ["--corpus", str(corpus)]) == 1
     err = capsys.readouterr().err
     assert str(vocab) in err and "size 256" in err and "vocab_size 64" in err
     assert list(out.iterdir()) == [out / "metrics.jsonl"]
@@ -519,11 +536,11 @@ def test_a_cascade_teacher_of_the_wrong_depth_is_rejected_before_any_write(
     out.mkdir()
     kept = b'{"loss": 1.0, "lr": 0.0, "stage": 0, "step": 0}\n'
     (out / "metrics.jsonl").write_bytes(kept)
-    # The final student has 2 layers; the config's cascade starts at 3.
+    # The final student has 2 layers, which is the config's end_depth.
     assert main(["cascade", "--config", str(pipeline["ini"]),
                  "--corpus", str(pipeline["corpus"]),
                  "--teacher", str(pipeline["run"] / "final"), "--out", str(out)]) == 1
-    assert "teacher has 2 layers, plan starts at 3" in capsys.readouterr().err
+    assert "cannot shrink a 2-layer teacher to end_depth 2" in capsys.readouterr().err
     assert list(out.iterdir()) == [out / "metrics.jsonl"]
     assert (out / "metrics.jsonl").read_bytes() == kept
 
@@ -547,10 +564,11 @@ def test_report_rejects_a_malformed_eval_result(tmp_path, capsys, payload):
 # language table became `CorpusSpec.sampling_probabilities`; a refactor
 # of corpus or task generation must not move them. `config.ini` was
 # re-recorded when `[model] attention_capture`, `[pretrain] weight_decay`
-# and `[pretrain] embeddings_frozen` were removed; every other file kept
-# its digest.
+# and `[pretrain] embeddings_frozen` were removed, and again when
+# `[pretrain] dropout` and `[finetune] dropout` were; every other file
+# kept its digest.
 DEFAULT_CHAIN_DIGESTS = {
-    "config.ini": "fda41d76ec8e59ec76d927bd55aff62693bae19ca2858605ea237cfe7337e7c9",
+    "config.ini": "adf4bc9fa182f2d4a2e0c78ffa4e4f26a44a977d221773ea8e9883d9d57ceb46",
     "corpus/corpus.tsv": "dc423a15c2288ac4eae6e7a5c54003f91cd9ee7a953715613c74447c12b7b6a1",
     "corpus/languages.csv": "fd9a0c8c8d17c342c5dd1322cd395b2a0b2c2fda0ea64b9ab6b79d0d2c38a10e",
     "corpus/vocab.json": "89056552af316627722ea875106d8236ada9073230a17d8ad87b8d0330bc9b2d",

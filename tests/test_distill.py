@@ -306,7 +306,8 @@ def optimizer_config(**overrides):
 
 
 def test_build_cascade_plan_counts(paper_ini):
-    plan = parse_config(paper_ini).cascade_plan()
+    config = parse_config(paper_ini)
+    plan = config.cascade_plan(config.model.num_layers)
     assert len(plan.stages) == 6
     assert plan.total_steps == 399_996
     assert plan.stages[0].warmup_steps == plan.stages[0].steps
@@ -325,8 +326,11 @@ def test_cascade_plan_validation():
     with pytest.raises(ValidationError, match="do not chain depths exactly"):
         CascadePlan(stages=wrong)
     for start, end in ((3, 3), (3, 4), (2, 0)):
-        with pytest.raises(ValidationError, match=f"bad cascade depths {start} -> {end}"):
+        with pytest.raises(ValidationError,
+                           match=f"cannot shrink a {start}-layer teacher to end_depth {end}"):
             build_cascade_plan(start, end, opt, steps_per_stage=3, warmup_steps=1)
+    with pytest.raises(ValidationError, match="steps_per_stage must be >= 1, got 0"):
+        build_cascade_plan(6, 3, opt, steps_per_stage=0, warmup_steps=0)
     with pytest.raises(ValidationError, match="total_steps must be >= 1"):
         DistillStagePlan(teacher_depth=3, student_depth=2, optimizer=opt, steps=0,
                          warmup_steps=0)
@@ -585,7 +589,7 @@ def test_teacher_error_surfaces_at_its_micro_batch_step(error, message):
 
 def test_the_teacher_runs_on_the_worker_only_past_the_flop_rule(monkeypatch):
     desk = default_config()
-    (plan, *_) = desk.cascade_plan().stages
+    (plan, *_) = desk.cascade_plan(desk.model.num_layers).stages
     assert not distill._teacher_on_worker(plan, desk.model)
     started = []
     start = threading.Thread.start

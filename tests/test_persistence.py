@@ -317,10 +317,9 @@ def test_config_rejects_bad_value(tmp_path):
 
 def test_config_bool_coercion(tmp_path):
     path = tmp_path / "run.ini"
-    path.write_text("[pretrain]\ndropout = off\n[cascade]\nfirst_stage_full_warmup = on\n")
-    parsed = parse_config(path)
-    assert parsed.pretrain.dropout is False
-    assert parsed.cascade.first_stage_full_warmup is True
+    for raw, value in (("off", False), ("on", True)):
+        path.write_text(f"[cascade]\nfirst_stage_full_warmup = {raw}\n")
+        assert parse_config(path).cascade.first_stage_full_warmup is value
 
 
 def test_config_missing_file(tmp_path):
