@@ -16,6 +16,12 @@ Padded positions carry arbitrary content, so masked-out positions are
 excluded from the hidden losses and padded query rows / key columns from
 the attention losses; divisors count only included elements.
 
+`run_stage` runs the teacher's no-grad forwards beside the student's
+passes: a small teacher in a forked child process, one optimizer step
+ahead, and a large one on a worker thread, one micro-batch ahead (see
+`_WORKER_MIN_TEACHER_FLOPS`). Either way the values are those of running
+the two in turn, and no process or thread outlives the call.
+
 Each input is checked once, where it enters: `DistillStagePlan` holds the
 depth rule and its schedule, `build_cascade_plan` rejects depths unless
 start > end >= 1 and stages of fewer than one step, `CascadePlan` checks
@@ -25,15 +31,19 @@ step, and the losses check each trace pair they are given.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+import multiprocessing
+import signal
+import sys
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .corpus import Batch
 from .encoder import EncoderModel, ForwardTrace, ModelConfig
-from .errors import DataExhaustedError, NonFiniteLossError, ValidationError
+from .errors import CascadeKDError, DataExhaustedError, NonFiniteLossError, ValidationError
 from .tensor import Tensor, mse, no_grad
 from .training import (
     Adam,
@@ -201,32 +211,177 @@ def build_cascade_plan(start_depth: int, end_depth: int, optimizer: OptimizerCon
 
 MetricsCallback = Callable[[dict], None]
 
-# A teacher forward of fewer matmul FLOPs than this per micro-batch runs on
-# the calling thread: below it, two threads trading the GIL cost more than
-# the worker's overlap gains. Measured crossover on a 2-core host with one
-# BLAS thread: the worker took 1.23x the step time at 28 MFLOP and 0.95x
-# at 36 MFLOP.
+# On Linux, a teacher whose forward on a full micro-batch takes fewer
+# matmul FLOPs than this runs in a forked child process, one optimizer step
+# ahead; any other runs on a worker thread, one micro-batch ahead. On a
+# 2-core host with one BLAS thread, the child's steady-state step time was
+# 0.71x the thread's at 28 MFLOP (6 desk layers), 0.75x at 38 MFLOP and
+# 0.86-0.95x up to 5.2 GFLOP. But a stage's first step overlaps nothing
+# on the child, and on the mid-scale benchmark's 4-step stages the child
+# gave 0.83x the thread's throughput (median of 3 pairs), so the bound
+# stays below mid scale.
 _WORKER_MIN_TEACHER_FLOPS = 32_000_000
 
+# How long `run_stage` waits for the teacher's child process to exit after
+# closing its pipe, before it terminates the child.
+_CHILD_EXIT_TIMEOUT_S = 1.0
 
-def _teacher_on_worker(plan: DistillStagePlan, teacher: ModelConfig) -> bool:
-    """Whether `run_stage` runs a teacher of this config on a worker thread:
-    decided from the matmul FLOPs of its forward on a full micro-batch."""
+
+def _teacher_in_child(plan: DistillStagePlan, teacher: ModelConfig) -> bool:
+    """Whether `run_stage` runs a teacher of this config in a child process
+    rather than on a worker thread: on Linux, below
+    `_WORKER_MIN_TEACHER_FLOPS` matmul FLOPs of its forward on a full
+    micro-batch."""
     flops = teacher.forward_matmul_flops(plan.optimizer.micro_batch_size, teacher.max_seq_len)
-    return flops >= _WORKER_MIN_TEACHER_FLOPS
+    return sys.platform == "linux" and flops < _WORKER_MIN_TEACHER_FLOPS
 
 
-class _CallingThread(Executor):
-    """Runs each submitted call at once on the calling thread; an error is
-    kept in the future and raised when its result is read, as a worker's is."""
+class _Step(NamedTuple):
+    """One step's micro-batches and its (teacher, student) dropout seeds."""
 
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future = Future()
+    micros: list[Batch]
+    teacher_seed: int
+    student_seed: int
+
+
+_TeacherForward = Callable[[np.ndarray, np.ndarray, int], ForwardTrace]
+_Draw = Callable[[], Optional[_Step]]
+
+
+class _TeacherThread:
+    """The teacher's forwards on one worker thread, one micro-batch ahead
+    within each step. A step pulls its batch and submits its first
+    micro-batch when it starts; each later micro-batch is submitted when
+    its predecessor's loss begins, and the pipeline drains with the step."""
+
+    def __init__(self, forward: _TeacherForward, draw: _Draw):
+        self._forward, self._draw = forward, draw
+        self._pool = ThreadPoolExecutor(max_workers=1)
+
+    def start_step(self, first: bool, last: bool) -> Optional[tuple[_Step, Iterator[Future]]]:
+        current = self._draw()
+        if current is None:
+            return None
+        ahead = deque([self._submit(current.micros[0], current.teacher_seed)])
+        return current, self._pipeline(ahead, current)
+
+    def _submit(self, micro: Batch, seed: int) -> Future:
+        return self._pool.submit(self._forward, micro.token_ids, micro.attention_mask, seed)
+
+    def _pipeline(self, ahead: deque[Future], current: _Step) -> Iterator[Future]:
+        # Popped as yielded, so no trace outlives the loss that reads it.
+        for successor in current.micros[1:]:
+            ahead.append(self._submit(successor, current.teacher_seed))
+            yield ahead.popleft()
+        yield ahead.popleft()
+
+    def close(self) -> None:
+        self._pool.shutdown()
+
+
+class _TeacherProcess:
+    """The teacher's forwards in a forked child process, one optimizer step
+    ahead. When a step starts, its traces are taken from the child, then
+    the next step's batch is pulled and its micro-batches are sent to the
+    child, which computes them while this process runs the student.
+
+    The child is forked, so it inherits the teacher rather than unpickling
+    it, and it runs nothing but the teacher's forward. Each step is one
+    request, its micro-batches' token ids and masks with the teacher's
+    seed, and one reply, each micro-batch's trace arrays or the error its
+    forward raised. One reply per step lets the child compute every
+    micro-batch of the step before it blocks on sending, and it blocks
+    only while this process is not sending, since requests go out only
+    after the last reply is in."""
+
+    def __init__(self, forward: _TeacherForward, draw: _Draw):
+        context = multiprocessing.get_context("fork")
+        self._conn, child_conn = context.Pipe()
+        self._child = context.Process(target=_serve_teacher,
+                                      args=(forward, child_conn, self._conn), daemon=True)
+        self._child.start()
+        child_conn.close()
+        self._draw = draw
+        self._ahead: Optional[_Step] = None
+
+    def start_step(self, first: bool, last: bool) -> Optional[tuple[_Step, Iterator[Future]]]:
+        if first:
+            self._ahead = self._request()
+        current = self._ahead
+        if current is None:
+            return None
+        traces = deque(self._receive())
+        self._ahead = None if last else self._request()
+        # Popped as read, so no trace outlives the loss that reads it.
+        return current, (traces.popleft() for _ in current.micros)
+
+    def _request(self) -> Optional[_Step]:
+        """Pulls the next step and sends its micro-batches to the child."""
+        drawn = self._draw()
+        if drawn is not None:
+            request = [(m.token_ids, m.attention_mask) for m in drawn.micros], drawn.teacher_seed
+            try:
+                self._conn.send(request)
+            except OSError:
+                raise self._died() from None
+        return drawn
+
+    def _receive(self) -> list[Future]:
+        """The child's reply to the last request, as one finished future
+        per micro-batch: a trace of constant tensors, or the error the
+        child's forward raised."""
         try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+            replies = self._conn.recv()
+        except (EOFError, OSError):
+            raise self._died() from None
+        traces = []
+        for reply in replies:
+            trace = Future()
+            if isinstance(reply, Exception):
+                trace.set_exception(reply)
+            else:
+                hidden, attentions, mask = reply
+                trace.set_result(ForwardTrace(hidden=[Tensor(h) for h in hidden],
+                                              attentions=[Tensor(a) for a in attentions],
+                                              attention_mask=mask))
+            traces.append(trace)
+        return traces
+
+    def _died(self) -> CascadeKDError:
+        self._child.join(_CHILD_EXIT_TIMEOUT_S)
+        return CascadeKDError(f"the teacher's process exited with code {self._child.exitcode}")
+
+    def close(self) -> None:
+        """Closes the pipe, which ends the child's loop, and joins the
+        child; a child that does not exit in time is terminated."""
+        self._conn.close()
+        self._child.join(_CHILD_EXIT_TIMEOUT_S)
+        if self._child.exitcode is None:
+            self._child.terminate()
+            self._child.join()
+        self._child.close()
+
+
+def _serve_teacher(forward: _TeacherForward, conn, parent_conn) -> None:
+    """The child's loop: answers each request with one reply holding, per
+    micro-batch, its trace's arrays or the error its forward raised, until
+    the parent closes its end of the pipe. SIGINT is left to the parent."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent_conn.close()  # else the pipe would stay open after the parent closes it
+    try:
+        while True:
+            micros, seed = conn.recv()
+            replies = []
+            for token_ids, attention_mask in micros:
+                try:
+                    trace = forward(token_ids, attention_mask, seed)
+                    replies.append(([h.data for h in trace.hidden],
+                                    [a.data for a in trace.attentions], trace.attention_mask))
+                except Exception as exc:
+                    replies.append(exc)
+            conn.send(replies)
+    except (EOFError, OSError):
+        return
 
 
 def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterator[Batch],
@@ -238,18 +393,20 @@ def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterat
     optimizer steps minimizing the total distillation loss; the teacher is
     never modified. Returns the student and the per-step loss trace.
 
-    Within each optimizer step, the teacher's no-grad forward is submitted
-    one micro-batch ahead of the student's forward and backward passes
-    (micro-batch pipelining as in GPipe), and the pipeline drains at the
-    end of the step. It runs on one worker thread when its matmul FLOPs on
-    a full micro-batch reach `_WORKER_MIN_TEACHER_FLOPS`, so a second core
-    does the teacher's work; a smaller teacher runs on the calling thread
-    at the point of submission, and no thread is started. The choice
-    depends on shapes only. Either way results are bit-identical to running
-    the two in turn. Each step pulls its batch from `data_stream` and draws
-    its (teacher, student) dropout seeds when it starts, so the stream is
-    read exactly `plan.steps` times and a stream that runs out fails at
-    the step that lacked a batch.
+    The teacher's no-grad forwards run beside the student's passes, in one
+    of two ways chosen from shapes by `_teacher_in_child`:
+    - below `_WORKER_MIN_TEACHER_FLOPS` on Linux, in a forked child process
+      one optimizer step ahead (`_TeacherProcess`): step s pulls batch s+1
+      when it starts, so a stream that runs out there lets step s finish
+      and report, and fails at step s+1;
+    - otherwise on one worker thread, one micro-batch ahead within each
+      step (`_TeacherThread`, micro-batch pipelining as in GPipe): step s
+      pulls batch s when it starts, and fails there if there is none.
+    Either way each step draws its (teacher, student) dropout seeds when
+    its batch is pulled, the stream is read exactly `plan.steps` times, a
+    teacher error is raised at the step whose trace it belongs to, and
+    results are bit-identical to running the two in turn. The child is
+    joined, and the thread shut down, before `run_stage` returns or raises.
     """
     if teacher.num_layers != plan.teacher_depth:
         raise ValidationError(
@@ -259,47 +416,52 @@ def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterat
     schedule = plan.schedule()
     rng = np.random.default_rng(seed)
 
-    def teacher_forward(micro: Batch, teacher_seed: int) -> ForwardTrace:
+    def draw() -> Optional[_Step]:
+        try:
+            batch = next(data_stream)
+        except StopIteration:
+            return None
+        teacher_seed = int(rng.integers(2**63))
+        student_seed = int(rng.integers(2**63))
+        return _Step(batch.split(plan.optimizer.micro_batch_size), teacher_seed, student_seed)
+
+    def teacher_forward(token_ids: np.ndarray, attention_mask: np.ndarray,
+                        teacher_seed: int) -> ForwardTrace:
         with no_grad():
-            return teacher.forward(micro.token_ids, micro.attention_mask,
+            return teacher.forward(token_ids, attention_mask,
                                    training_mode=dropout, dropout_seed=teacher_seed)
 
     loss_trace: list[float] = []
-    executor = ThreadPoolExecutor(max_workers=1) if _teacher_on_worker(plan, teacher.config) \
-        else _CallingThread()
-    with executor as worker:
+    runner = (_TeacherProcess if _teacher_in_child(plan, teacher.config) else _TeacherThread)(
+        teacher_forward, draw)
+    try:
         for step in range(plan.steps):
-            try:
-                batch = next(data_stream)
-            except StopIteration:
+            started = runner.start_step(first=step == 0, last=step + 1 == plan.steps)
+            if started is None:
                 raise DataExhaustedError(
                     f"stage {stage_index}: data stream exhausted at step {step} "
-                    f"of {plan.steps}") from None
-            teacher_seed = int(rng.integers(2**63))
-            student_seed = int(rng.integers(2**63))
-            micros = batch.split(plan.optimizer.micro_batch_size)
-            ahead = [worker.submit(teacher_forward, m, teacher_seed) for m in micros[:1]]
-            following = iter(micros[1:])
+                    f"of {plan.steps}")
+            current, traces = started
 
             def loss_fn(micro: Batch) -> Tensor:
-                current = ahead.pop()
-                successor = next(following, None)
-                if successor is not None:
-                    ahead.append(worker.submit(teacher_forward, successor, teacher_seed))
+                teacher_trace = next(traces)
                 # The student's forward needs no teacher trace, so it runs
                 # first: a step's first micro-batch overlaps it too.
                 s_trace = student.forward(micro.token_ids, micro.attention_mask,
-                                          training_mode=dropout, dropout_seed=student_seed)
-                return total_distill_loss(current.result(), s_trace)
+                                          training_mode=dropout,
+                                          dropout_seed=current.student_seed)
+                return total_distill_loss(teacher_trace.result(), s_trace)
 
             lr = lr_at(schedule, plan.optimizer.peak_lr, step)
             try:
-                loss = accumulate_and_step(loss_fn, micros, optimizer, lr)
+                loss = accumulate_and_step(loss_fn, current.micros, optimizer, lr)
             except NonFiniteLossError as exc:
                 raise NonFiniteLossError(f"stage {stage_index} step {step}: {exc}") from None
             loss_trace.append(loss)
             if metrics is not None:
                 metrics({"stage": stage_index, "step": step, "lr": lr, "loss": loss})
+    finally:
+        runner.close()
     return student, loss_trace
 
 

@@ -2,7 +2,8 @@
 
 The message says what went wrong; the class says only what to do about it.
 
-- ``CascadeKDError``: base of every library error.
+- ``CascadeKDError``: base of every library error. Raised itself only
+  when ``run_stage``'s teacher process dies, naming its exit code.
 - ``ValidationError``: bad inputs, configuration or files, detected before
   the work they describe is done. The CLI exits 1 on it.
 - ``NumericError``: a runtime numeric failure (non-finite values, a

@@ -4,9 +4,13 @@ cascade execution, and the pipelined teacher's contract."""
 
 import itertools
 import math
+import multiprocessing
+import os
+import signal
 import sys
 import threading
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +34,12 @@ from cascadekd.encoder import (
     ModelConfig,
     init_random,
 )
-from cascadekd.errors import DataExhaustedError, NonFiniteLossError, ValidationError
+from cascadekd.errors import (
+    CascadeKDError,
+    DataExhaustedError,
+    NonFiniteLossError,
+    ValidationError,
+)
 from cascadekd.tensor import Tensor, backward, no_grad
 from cascadekd.training import Adam, OptimizerConfig, ScheduleConfig, accumulate_and_step, lr_at
 
@@ -383,10 +392,10 @@ def test_run_stage_exhausted_stream():
     for path in TEACHER_PATHS:
         rng = np.random.default_rng(8)
         records = []
-        with teacher_path(path):
+        with teacher_path(path) as watch:
             with pytest.raises(DataExhaustedError, match="at step 3 of 5"):
                 run_stage(plan, teacher, iter(random_batches(rng, 3)), seed=0,
-                          dropout=False, metrics=records.append)
+                          dropout=False, metrics=watch(records.append))
         assert [r["step"] for r in records] == [0, 1, 2]
 
 
@@ -449,27 +458,37 @@ def test_run_cascade_errors_carry_one_stage_prefix():
 # the pipelined teacher
 # ---------------------------------------------------------------------------
 
-TEACHER_PATHS = ("calling_thread", "worker")
+TEACHER_PATHS = ("process", "thread")
 
 
 @contextmanager
 def teacher_path(path):
-    """Forces `run_stage` to run the teacher on the calling thread or on its
-    worker, and checks on leaving that some forward ran off the main
-    thread exactly when the worker was forced."""
-    on_worker = path == "worker"
-    on_main = set()
+    """Forces `run_stage` to run the teacher in its child process or on its
+    worker thread. Yields `watch`, which wraps a metrics callback to record
+    at each step whether a child process is alive. On leaving, checks that
+    one was alive at every step exactly on the process path, and that some
+    forward ran off the main thread exactly on the thread path."""
+    in_child = path == "process"
+    alive, off_main = [], []
     forward = EncoderModel.forward
 
     def recording_forward(self, *args, **kwargs):
-        on_main.add(threading.current_thread() is threading.main_thread())
+        off_main.append(threading.current_thread() is not threading.main_thread())
         return forward(self, *args, **kwargs)
 
+    def watch(metrics=None):
+        def record(r):
+            alive.append(bool(multiprocessing.active_children()))
+            if metrics is not None:
+                metrics(r)
+        return record
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distill, "_WORKER_MIN_TEACHER_FLOPS", 0 if on_worker else math.inf)
+        patch.setattr(distill, "_WORKER_MIN_TEACHER_FLOPS", math.inf if in_child else 0)
         patch.setattr(EncoderModel, "forward", recording_forward)
-        yield
-    assert (False in on_main) == on_worker, path
+        yield watch
+    assert alive and set(alive) == {in_child}, path
+    assert any(off_main) != in_child, path
 
 
 def sequential_stage(plan, teacher, batches, seed):
@@ -511,8 +530,9 @@ def test_pipelined_stage_equals_sequential_loop():
     sys.setswitchinterval(1e-6)  # interleave the two threads as finely as possible
     try:
         for path in TEACHER_PATHS:
-            with teacher_path(path):
-                piped, piped_losses = run_stage(plan, teacher, batches(), seed=18)
+            with teacher_path(path) as watch:
+                piped, piped_losses = run_stage(plan, teacher, batches(), seed=18,
+                                                metrics=watch())
             assert piped_losses == plain_losses, path
             for (name, a), (_, b) in zip(piped.parameters(), plain.parameters()):
                 assert np.array_equal(a.data, b.data), (path, name)
@@ -543,12 +563,15 @@ def test_run_stage_pulls_exactly_its_steps_from_the_stream():
                                 steps=3, warmup_steps=1)
         stream = CountingStream(itertools.cycle(random_batches(rng, 2)))
         pulled = []
-        with teacher_path(path):
+        with teacher_path(path) as watch:
             run_stage(plan, teacher, stream, seed=0,
-                      metrics=lambda r: pulled.append((r["step"], stream.pulled)))
+                      metrics=watch(lambda r: pulled.append((r["step"], stream.pulled))))
         assert stream.pulled == plan.steps
-        # Each step pulls its own batch when it starts, and no later one.
-        assert pulled == [(step, step + 1) for step in range(plan.steps)], (path, micro)
+        # On the thread path each step pulls its own batch when it starts;
+        # on the process path it pulls the next step's, and none later.
+        ahead = 1 if path == "process" else 0
+        assert pulled == [(step, min(step + 1 + ahead, plan.steps))
+                          for step in range(plan.steps)], (path, micro)
 
 
 class FailingForward:
@@ -579,34 +602,94 @@ def test_teacher_error_surfaces_at_its_micro_batch_step(error, message):
         rng = np.random.default_rng(21)
         teacher = init_random(toy_config(num_layers=2), seed=22)
         records = []
-        with teacher_path(path):
+        with teacher_path(path) as watch:
             teacher.forward = FailingForward(teacher.forward, fail_at=5, error=error)
             with pytest.raises(type(error), match=message):
                 run_stage(plan, teacher, iter(random_batches(rng, 4)), seed=0, stage_index=4,
-                          metrics=records.append)
+                          metrics=watch(records.append))
         assert [r["step"] for r in records] == [0, 1], path
 
 
 def test_the_teacher_runs_on_the_worker_only_past_the_flop_rule(monkeypatch):
-    desk = default_config()
-    (plan, *_) = desk.cascade_plan(desk.model.num_layers).stages
-    assert not distill._teacher_on_worker(plan, desk.model)
     started = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
                         lambda thread: started.append(thread) or start(thread))
-    teacher = init_random(desk.model, seed=26)
     rng = np.random.default_rng(27)
-    short = DistillStagePlan(teacher_depth=plan.teacher_depth, student_depth=plan.student_depth,
-                             optimizer=plan.optimizer, steps=2, warmup_steps=1)
-    run_stage(short, teacher, iter(random_batches(
-        rng, 2, batch=plan.optimizer.batch_size, seq=desk.model.max_seq_len,
-        vocab=desk.model.vocab_size)), seed=0)
+
+    def children_per_step(config, plan, seq):
+        """Runs two steps of `plan`; the child processes alive at each."""
+        alive = []
+        run_stage(replace(plan, steps=2, warmup_steps=1), init_random(config, seed=26),
+                  iter(random_batches(rng, 2, batch=plan.optimizer.batch_size, seq=seq,
+                                      vocab=config.vocab_size)), seed=0,
+                  metrics=lambda r: alive.append(len(multiprocessing.active_children())))
+        return alive
+
+    desk = default_config()
+    (plan, *_) = desk.cascade_plan(desk.model.num_layers).stages
+    assert distill._teacher_in_child(plan, desk.model)
+    assert children_per_step(desk.model, plan, desk.model.max_seq_len) == [1, 1]
     assert started == []
-    # The benchmark's mid-scale stage: a 3 -> 2 shrink at d=256, T=128.
+    # The benchmark's mid-scale stage: a 3 -> 2 shrink at d=256, T=128. The
+    # rule reads `max_seq_len`, so batches of 4 columns keep this cheap.
     mid = ModelConfig(vocab_size=256, hidden_dim=256, num_layers=3, num_heads=4,
                       ffn_dim=1024, max_seq_len=128)
     mid_plan = DistillStagePlan(teacher_depth=3, student_depth=2, steps=4, warmup_steps=4,
                                 optimizer=OptimizerConfig(peak_lr=3e-3, batch_size=16,
                                                           micro_batch_size=8, epsilon=1e-9))
-    assert distill._teacher_on_worker(mid_plan, mid)
+    assert not distill._teacher_in_child(mid_plan, mid)
+    assert children_per_step(mid, mid_plan, seq=4) == [0, 0]
+    assert len(started) == 1
+    # Off Linux every teacher runs on the worker thread.
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert not distill._teacher_in_child(plan, desk.model)
+
+
+def test_no_process_outlives_run_stage(monkeypatch):
+    # Every way out of a stage joins its child: a normal end, a teacher
+    # error, an exhausted stream, a non-finite loss and a killed child.
+    monkeypatch.setattr(distill, "_WORKER_MIN_TEACHER_FLOPS", math.inf)
+    plan = DistillStagePlan(teacher_depth=2, student_depth=1,
+                            optimizer=optimizer_config(micro_batch_size=2), steps=4,
+                            warmup_steps=1)
+
+    def teacher(failing=False, nan=False):
+        model = init_random(toy_config(num_layers=2), seed=28)
+        if failing:
+            model.forward = FailingForward(model.forward, fail_at=3,
+                                           error=RuntimeError("teacher failed"))
+        if nan:
+            model.layers[-1].wo.data[:] = np.nan
+        return model
+
+    def kill_at_step_1(record):
+        if record["step"] == 1:
+            (child,) = multiprocessing.active_children()
+            os.kill(child.pid, signal.SIGKILL)
+
+    cases = [
+        (teacher(), 4, None, None),
+        (teacher(failing=True), 4, None, (RuntimeError, "^teacher failed$")),
+        (teacher(), 2, None, (DataExhaustedError, "at step 2 of 4")),
+        (teacher(nan=True), 4, None, (NonFiniteLossError, "^stage 0 step 0: ")),
+        (teacher(), 4, kill_at_step_1, (CascadeKDError, "exited with code -9$")),
+    ]
+    for model, count, metrics, error in cases:
+        pids = []
+
+        def record(r):
+            pids.extend(child.pid for child in multiprocessing.active_children())
+            if metrics is not None:
+                metrics(r)
+
+        batches = iter(random_batches(np.random.default_rng(29), count))
+        if error is None:
+            run_stage(plan, model, batches, seed=0, metrics=record)
+        else:
+            with pytest.raises(error[0], match=error[1]):
+                run_stage(plan, model, batches, seed=0, metrics=record)
+        for pid in set(pids):  # reaped, not only exited
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert multiprocessing.active_children() == [], error

@@ -410,4 +410,6 @@ def test_predict_memory_does_not_grow_with_batch_size():
         finally:
             tracemalloc.stop()
 
-    assert peak_bytes(2048) <= 2 * peak_bytes(256)
+    # Both sizes keep two slices in flight, so the denominator does not
+    # depend on whether two slices happen to overlap on the two threads.
+    assert peak_bytes(4096) <= 2 * peak_bytes(512)
