@@ -19,7 +19,8 @@ the attention losses; divisors count only included elements.
 `run_stage` runs the teacher's no-grad forwards beside the student's
 passes: a small teacher in a forked child process, one optimizer step
 ahead, and a large one on a worker thread, one micro-batch ahead (see
-`_WORKER_MIN_TEACHER_FLOPS`). Either way the values are those of running
+`_WORKER_MIN_TEACHER_FLOPS`), which also takes the student's
+weight-gradient products. Either way the values are those of running
 the two in turn, and no process or thread outlives the call.
 
 Each input is checked once, where it enters: `DistillStagePlan` holds the
@@ -31,6 +32,7 @@ step, and the losses check each trace pair they are given.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import signal
 import sys
@@ -44,7 +46,7 @@ import numpy as np
 from .corpus import Batch
 from .encoder import EncoderModel, ForwardTrace, ModelConfig
 from .errors import CascadeKDError, DataExhaustedError, NonFiniteLossError, ValidationError
-from .tensor import Tensor, mse, no_grad
+from .tensor import Tensor, mse, no_grad, offload_weight_grads
 from .training import (
     Adam,
     OptimizerConfig,
@@ -213,13 +215,14 @@ MetricsCallback = Callable[[dict], None]
 
 # On Linux, a teacher whose forward on a full micro-batch takes fewer
 # matmul FLOPs than this runs in a forked child process, one optimizer step
-# ahead; any other runs on a worker thread, one micro-batch ahead. On a
-# 2-core host with one BLAS thread, the child's steady-state step time was
-# 0.71x the thread's at 28 MFLOP (6 desk layers), 0.75x at 38 MFLOP and
-# 0.86-0.95x up to 5.2 GFLOP. But a stage's first step overlaps nothing
-# on the child, and on the mid-scale benchmark's 4-step stages the child
-# gave 0.83x the thread's throughput (median of 3 pairs), so the bound
-# stays below mid scale.
+# ahead; any other runs on a worker thread, one micro-batch ahead, which
+# also runs the student's weight-gradient products. On a 2-core host with
+# one BLAS thread, the child's steady-state step time was 0.70x the
+# thread's at 33 MFLOP (7 desk layers, one or two micro-batches of 16 a
+# step; medians of 4 runs) and 1.02x at the mid shape (5.2 GFLOP; 0.94-1.61x
+# over 7 runs). A stage's first step overlaps nothing on the child, and
+# over the mid-scale benchmark's 4-step stages the child's steps took 1.30x
+# the thread's (median of 7 runs), so the bound stays below mid scale.
 _WORKER_MIN_TEACHER_FLOPS = 32_000_000
 
 # How long `run_stage` waits for the teacher's child process to exit after
@@ -252,11 +255,19 @@ class _TeacherThread:
     """The teacher's forwards on one worker thread, one micro-batch ahead
     within each step. A step pulls its batch and submits its first
     micro-batch when it starts; each later micro-batch is submitted when
-    its predecessor's loss begins, and the pipeline drains with the step."""
+    its predecessor's loss begins, and the pipeline drains with the step.
+
+    Inside `backward_scope` the student's weight-gradient products run on
+    the same worker. It runs its tasks in submission order, so a
+    micro-batch's products wait behind the next micro-batch's teacher
+    forward, which the critical path needs first."""
 
     def __init__(self, forward: _TeacherForward, draw: _Draw):
         self._forward, self._draw = forward, draw
         self._pool = ThreadPoolExecutor(max_workers=1)
+
+    def backward_scope(self) -> contextlib.AbstractContextManager:
+        return offload_weight_grads(self._pool)
 
     def start_step(self, first: bool, last: bool) -> Optional[tuple[_Step, Iterator[Future]]]:
         current = self._draw()
@@ -314,6 +325,10 @@ class _TeacherProcess:
         self._ahead = None if last else self._request()
         # Popped as read, so no trace outlives the loss that reads it.
         return current, (traces.popleft() for _ in current.micros)
+
+    def backward_scope(self) -> contextlib.AbstractContextManager:
+        """Backward runs inline: the child's core is busy with the teacher."""
+        return contextlib.nullcontext()
 
     def _request(self) -> Optional[_Step]:
         """Pulls the next step and sends its micro-batches to the child."""
@@ -402,11 +417,16 @@ def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterat
     - otherwise on one worker thread, one micro-batch ahead within each
       step (`_TeacherThread`, micro-batch pipelining as in GPipe): step s
       pulls batch s when it starts, and fails there if there is none.
+      The student's weight-gradient products run on that worker too,
+      queued behind the teacher's forwards, and are settled into `grad`
+      before each Adam step (the split backward of zero-bubble pipeline
+      parallelism; see `tensor.offload_weight_grads`).
     Either way each step draws its (teacher, student) dropout seeds when
     its batch is pulled, the stream is read exactly `plan.steps` times, a
     teacher error is raised at the step whose trace it belongs to, and
     results are bit-identical to running the two in turn. The child is
-    joined, and the thread shut down, before `run_stage` returns or raises.
+    joined, and the thread shut down with no product pending, before
+    `run_stage` returns or raises.
     """
     if teacher.num_layers != plan.teacher_depth:
         raise ValidationError(
@@ -434,7 +454,8 @@ def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterat
     loss_trace: list[float] = []
     runner = (_TeacherProcess if _teacher_in_child(plan, teacher.config) else _TeacherThread)(
         teacher_forward, draw)
-    try:
+    # The scope exits, settling or dropping its products, before the runner closes.
+    with contextlib.closing(runner), runner.backward_scope():
         for step in range(plan.steps):
             started = runner.start_step(first=step == 0, last=step + 1 == plan.steps)
             if started is None:
@@ -460,8 +481,6 @@ def run_stage(plan: DistillStagePlan, teacher: EncoderModel, data_stream: Iterat
             loss_trace.append(loss)
             if metrics is not None:
                 metrics({"stage": stage_index, "step": step, "lr": lr, "loss": loss})
-    finally:
-        runner.close()
     return student, loss_trace
 
 

@@ -18,6 +18,20 @@ The encoder's sublayers are single fused nodes: `Linear`, `LayerNorm`,
 runs the numpy operations of its step-by-step composition in the same
 order, so its values are bit-equal to that composition.
 
+Weight gradients can run on another thread. Inside
+`offload_weight_grads(executor)`, each weight-gradient product `xᵀg` of a
+backward pass (the one `_affine_grads` forms for `Linear`,
+`AttentionScores` and both maps of `FeedForward`) is submitted to the
+executor instead of computed, and `backward` queues each leaf's gradient
+in walk order rather than adding it into `grad`; a pending product is
+waited for at once only where it must be merged with another gradient
+(or, were a weight not a leaf, passed back through its node).
+`settle_weight_grads` then adds the queue into `grad` in order, so the
+same arrays are summed in the same order as inline and every gradient is
+bit-equal. Products are leaf gradients that only the optimizer reads, so
+the input-gradient pass never waits for them. The scope is per thread,
+like grad mode; outside it nothing is queued.
+
 All data is 64-bit IEEE-754, row-major. First-order gradients only.
 
 Heap policy: importing this module fixes three glibc malloc parameters
@@ -36,6 +50,8 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import threading
+from collections import deque
+from concurrent.futures import Executor, Future, wait
 from typing import Optional
 
 import numpy as np
@@ -85,6 +101,73 @@ def no_grad():
         yield
     finally:
         _grad_mode.enabled = prev
+
+
+class _WeightGrads(threading.local):
+    executor: Optional[Executor] = None
+    # (leaf, gradient or pending product, whether the array is owned), in
+    # walk order; None outside an offload scope.
+    pending: Optional[deque] = None
+
+
+_weight_grads = _WeightGrads()
+
+
+@contextlib.contextmanager
+def offload_weight_grads(executor: Executor):
+    """Submit this thread's weight-gradient products to `executor` inside
+    the block, and queue leaf gradients for `settle_weight_grads` (see the
+    module docstring). Leaving the block settles what is still queued, or
+    drops it when the block raises. A single-worker executor runs the
+    products in the order they were submitted, after any work submitted
+    before them."""
+    prev = _weight_grads.executor, _weight_grads.pending
+    _weight_grads.executor, _weight_grads.pending = executor, deque()
+    try:
+        yield
+        settle_weight_grads()
+    finally:
+        settle_weight_grads(keep=False)
+        _weight_grads.executor, _weight_grads.pending = prev
+
+
+def settle_weight_grads(keep: bool = True) -> None:
+    """Empty this thread's queue of leaf gradients; outside an offload
+    scope it is always empty.
+
+    With `keep`, each gradient is added into its leaf's `grad` in queue
+    order, waiting for its product if it is pending. Otherwise, and for
+    the rest of the queue when a product raised, products not yet started
+    are cancelled, running ones are waited for, and nothing more is added:
+    no product is running when this returns or raises.
+    """
+    pending = _weight_grads.pending
+    if not pending:
+        return
+    try:
+        while keep and pending:
+            leaf, grad, owned = pending.popleft()
+            if isinstance(grad, Future):
+                grad, owned = grad.result(), True  # a product no one else holds
+            _add_grad(leaf, grad, owned)
+    finally:
+        wait([grad for _, grad, _ in pending
+              if isinstance(grad, Future) and not grad.cancel()])
+        pending.clear()
+
+
+def _result(grad):
+    """A gradient array, waiting for it if it is a pending product."""
+    return grad.result() if isinstance(grad, Future) else grad
+
+
+def _add_grad(leaf: "Tensor", grad: np.ndarray, owned: bool) -> None:
+    """Accumulate into `leaf.grad`; a gradient not `owned` may be shared,
+    so it is copied rather than kept."""
+    if leaf.grad is None:
+        leaf.grad = grad if owned else grad.copy()
+    else:
+        leaf.grad += grad
 
 
 class Tensor:
@@ -194,6 +277,8 @@ def backward(loss: Tensor) -> None:
 
     Repeated calls accumulate until `grad` is cleared (`Adam.zero_grad`
     does that), so a sum of losses equals the sum of per-loss gradients.
+    Inside `offload_weight_grads` the leaves' gradients are queued instead,
+    and reach `grad` when the queue is settled.
     """
     if loss.numel != 1:
         raise ValidationError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -220,7 +305,10 @@ def backward(loss: Tensor) -> None:
     # A gradient a Function returned may be shared (Add hands one array to
     # both parents), so it is never written to. A merge allocates a fresh
     # sum; `owned` holds the ids whose pending gradient is such a sum, which
-    # later merges and the leaf may then reuse in place.
+    # later merges and the leaf may then reuse in place. In an offload
+    # scope a gradient may be a pending product, waited for only to merge
+    # it or to pass it back through a node.
+    queue = _weight_grads.pending
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     owned: set[int] = set()
     for node in reversed(order):
@@ -230,22 +318,27 @@ def backward(loss: Tensor) -> None:
         ctx = node._ctx
         if ctx is None:
             if node.requires_grad:
-                if node.grad is None:
-                    node.grad = grad if id(node) in owned else grad.copy()
+                if queue is None:
+                    _add_grad(node, grad, id(node) in owned)
                 else:
-                    node.grad += grad
+                    queue.append((node, grad, id(node) in owned))
             continue
+        if queue is not None:
+            grad = _result(grad)
         for parent, need, pgrad in zip(ctx.parents, ctx.needs, ctx.backward(grad)):
             if not need or pgrad is None:
                 continue
             key = id(parent)
+            if key not in flowing:
+                flowing[key] = pgrad
+                continue
+            if queue is not None:
+                pgrad, flowing[key] = _result(pgrad), _result(flowing[key])
             if key in owned:
                 flowing[key] += pgrad
-            elif key in flowing:
+            else:
                 flowing[key] = flowing[key] + pgrad
                 owned.add(key)
-            else:
-                flowing[key] = pgrad
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +386,24 @@ def _affine(x, w, b):
     return out
 
 
+def _weight_product(x, rows):
+    """`xᵀ rows` over all leading positions of `x`."""
+    return x.reshape(-1, x.shape[-1]).T @ rows
+
+
 def _affine_grads(g, x, w, needs):
     """Gradients of `x @ w + b` w.r.t. (x, w, b) for upstream `g`, each
     only where `needs` asks for it; the weight gradient is one 2-D product
-    over all leading positions."""
+    over all leading positions, a pending `Future` in an offload scope."""
     rows = g.reshape(-1, g.shape[-1])
+    if not needs[1]:
+        gw = None
+    elif _weight_grads.executor is None:
+        gw = _weight_product(x, rows)
+    else:
+        gw = _weight_grads.executor.submit(_weight_product, x, rows)
     return (np.matmul(g, w.T) if needs[0] else None,
-            x.reshape(-1, x.shape[-1]).T @ rows if needs[1] else None,
+            gw,
             rows.sum(axis=0) if needs[2] else None)
 
 
@@ -446,6 +550,8 @@ class FeedForward(Function):
 
     def backward(self, g):
         needs = self.needs
+        # The activation is formed here even when its product is offloaded:
+        # a pending product then keeps it alive, not the two forward arrays.
         _, gw_out, gb_out = _affine_grads(g, self.pre * self.cdf if needs[3] else None,
                                           self.w_out, (False, needs[3], needs[4]))
         if not any(needs[:3]):

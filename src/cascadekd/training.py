@@ -25,7 +25,7 @@ import numpy as np
 from .corpus import Batch
 from .encoder import ClassifierHead, EncoderModel, classify
 from .errors import NonFiniteLossError, ValidationError
-from .tensor import Tensor, backward, cross_entropy, no_grad
+from .tensor import Tensor, backward, cross_entropy, no_grad, settle_weight_grads
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -145,6 +145,13 @@ def accumulate_and_step(loss_fn: Callable[[Batch], Tensor],
     returned loss is the example-weighted batch mean. At most one
     micro-batch graph is alive at a time: each loss is dropped after its
     backward pass, before the next `loss_fn` call and the Adam step.
+
+    Called inside `offload_weight_grads`, the weight-gradient products of
+    every micro-batch's backward are settled into `grad` in submission
+    order after the last backward, before the finite-loss check and Adam;
+    only the arrays they read outlive their graph until then. On any error
+    the pending products are cancelled or waited for first, so none runs
+    after this returns or raises.
     """
     micros = list(micro_batches)
     if not micros:
@@ -152,12 +159,17 @@ def accumulate_and_step(loss_fn: Callable[[Batch], Tensor],
     total_examples = sum(len(m) for m in micros)
     optimizer.zero_grad()
     total = 0.0
-    for micro in micros:
-        weight = len(micro) / total_examples
-        loss = loss_fn(micro)
-        backward(loss * weight)
-        total += loss.item() * weight
-        del loss
+    try:
+        for micro in micros:
+            weight = len(micro) / total_examples
+            loss = loss_fn(micro)
+            backward(loss * weight)
+            total += loss.item() * weight
+            del loss
+    except BaseException:
+        settle_weight_grads(keep=False)
+        raise
+    settle_weight_grads()
     if not math.isfinite(total):
         raise NonFiniteLossError(f"accumulated loss is {total}")
     optimizer.step(lr)

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cascadekd import distill
+from cascadekd import distill, tensor
 from cascadekd.config import default_config, parse_config
 from cascadekd.corpus import Batch
 from cascadekd.distill import (
@@ -41,7 +41,15 @@ from cascadekd.errors import (
     ValidationError,
 )
 from cascadekd.tensor import Tensor, backward, no_grad
-from cascadekd.training import Adam, OptimizerConfig, ScheduleConfig, accumulate_and_step, lr_at
+from cascadekd.training import (
+    Adam,
+    FineTuneConfig,
+    OptimizerConfig,
+    ScheduleConfig,
+    accumulate_and_step,
+    fine_tune,
+    lr_at,
+)
 
 from oracles import reference_distill_loss
 
@@ -462,18 +470,37 @@ TEACHER_PATHS = ("process", "thread")
 
 
 @contextmanager
+def recording_product_threads():
+    """Yields the list of thread idents that weight-gradient products run
+    on, one per product, while the block runs."""
+    idents = []
+    product = tensor._weight_product
+
+    def recording_product(*args):
+        idents.append(threading.get_ident())
+        return product(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensor, "_weight_product", recording_product)
+        yield idents
+
+
+@contextmanager
 def teacher_path(path):
     """Forces `run_stage` to run the teacher in its child process or on its
     worker thread. Yields `watch`, which wraps a metrics callback to record
     at each step whether a child process is alive. On leaving, checks that
-    one was alive at every step exactly on the process path, and that some
-    forward ran off the main thread exactly on the thread path."""
+    one was alive at every step exactly on the process path, that some
+    forward ran off the main thread exactly on the thread path, and that
+    the student's weight-gradient products ran on the teacher's worker
+    thread on the thread path and on the main thread on the process path."""
     in_child = path == "process"
-    alive, off_main = [], []
+    alive, off_main, teacher_threads = [], [], set()
     forward = EncoderModel.forward
 
     def recording_forward(self, *args, **kwargs):
         off_main.append(threading.current_thread() is not threading.main_thread())
+        teacher_threads.add(threading.get_ident())
         return forward(self, *args, **kwargs)
 
     def watch(metrics=None):
@@ -483,12 +510,14 @@ def teacher_path(path):
                 metrics(r)
         return record
 
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, recording_product_threads() as products:
         patch.setattr(distill, "_WORKER_MIN_TEACHER_FLOPS", math.inf if in_child else 0)
         patch.setattr(EncoderModel, "forward", recording_forward)
         yield watch
     assert alive and set(alive) == {in_child}, path
     assert any(off_main) != in_child, path
+    main = threading.main_thread().ident
+    assert products and set(products) == ({main} if in_child else teacher_threads - {main}), path
 
 
 def sequential_stage(plan, teacher, batches, seed):
@@ -626,11 +655,14 @@ def test_the_teacher_runs_on_the_worker_only_past_the_flop_rule(monkeypatch):
                   metrics=lambda r: alive.append(len(multiprocessing.active_children())))
         return alive
 
+    main = threading.main_thread().ident
     desk = default_config()
     (plan, *_) = desk.cascade_plan(desk.model.num_layers).stages
     assert distill._teacher_in_child(plan, desk.model)
-    assert children_per_step(desk.model, plan, desk.model.max_seq_len) == [1, 1]
+    with recording_product_threads() as products:
+        assert children_per_step(desk.model, plan, desk.model.max_seq_len) == [1, 1]
     assert started == []
+    assert products and set(products) == {main}
     # The benchmark's mid-scale stage: a 3 -> 2 shrink at d=256, T=128. The
     # rule reads `max_seq_len`, so batches of 4 columns keep this cheap.
     mid = ModelConfig(vocab_size=256, hidden_dim=256, num_layers=3, num_heads=4,
@@ -639,8 +671,18 @@ def test_the_teacher_runs_on_the_worker_only_past_the_flop_rule(monkeypatch):
                                 optimizer=OptimizerConfig(peak_lr=3e-3, batch_size=16,
                                                           micro_batch_size=8, epsilon=1e-9))
     assert not distill._teacher_in_child(mid_plan, mid)
-    assert children_per_step(mid, mid_plan, seq=4) == [0, 0]
+    with recording_product_threads() as products:
+        assert children_per_step(mid, mid_plan, seq=4) == [0, 0]
     assert len(started) == 1
+    assert products and set(products) == {started[0].ident}
+    # Fine-tuning has no teacher, and no worker takes its products.
+    (batch,) = random_batches(rng, 1, batch=4, vocab=desk.model.vocab_size)
+    labeled = Batch(batch.token_ids, batch.attention_mask, labels=np.arange(4) % 2)
+    with recording_product_threads() as products:
+        fine_tune(init_random(desk.model.with_layers(1), seed=30), labeled,
+                  FineTuneConfig(optimizer=optimizer_config(), epochs=1, num_classes=2))
+    assert len(started) == 1
+    assert products and set(products) == {main}
     # Off Linux every teacher runs on the worker thread.
     monkeypatch.setattr(sys, "platform", "darwin")
     assert not distill._teacher_in_child(plan, desk.model)

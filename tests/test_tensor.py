@@ -1,7 +1,8 @@
 """Autodiff core: forward values against hand-worked cases, backward
 mechanics, the losses and a composite graph against central differences,
-per-thread grad mode and the lean tape. Every op's own finite-difference
-check is a row of the table property in `test_properties.py`."""
+per-thread grad mode, the lean tape and weight-gradient products on
+another thread. Every op's own finite-difference check is a row of the
+table property in `test_properties.py`."""
 
 import os
 import platform
@@ -9,6 +10,8 @@ import subprocess
 import sys
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,8 @@ from cascadekd.tensor import (
     linear,
     mse,
     no_grad,
+    offload_weight_grads,
+    settle_weight_grads,
     softmax_rows,
 )
 
@@ -431,6 +436,101 @@ def test_mse_hand_gradient():
     p = Tensor([3.0], requires_grad=True)
     backward(mse(p, Tensor([0.0])))
     assert np.allclose(p.grad, [6.0])
+
+
+# ---------------------------------------------------------------------------
+# weight-gradient products on another thread
+# ---------------------------------------------------------------------------
+
+def micro_batch_grads(loss_of_rows, sizes, leaves, pool=None):
+    """Each leaf's gradient after one backward per micro-batch of `sizes`
+    rows, each loss weighted by its share of the rows, inline or, given a
+    pool, with the weight products offloaded to it. Offloaded, every
+    gradient stays queued until the queue is settled."""
+    for leaf in leaves:
+        leaf.grad = None
+    with nullcontext() if pool is None else offload_weight_grads(pool):
+        start = 0
+        for size in sizes:
+            backward(loss_of_rows(slice(start, start + size)) * (size / sum(sizes)))
+            start += size
+        if pool is not None:
+            assert all(leaf.grad is None for leaf in leaves)
+        settle_weight_grads()
+    return [leaf.grad for leaf in leaves]
+
+
+def encoder_like_graph(rng, batch):
+    """A loss over any rows of a random batch through every op with a
+    weight product, and the graph's leaves: the input and 12 parameters."""
+    seq, heads = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+    d, f = heads * int(rng.integers(1, 3)), int(rng.integers(1, 6))
+    first = int(rng.integers(0, seq))
+    queries = slice(first, int(rng.integers(first + 1, seq + 1)))
+    x = Tensor(rng.normal(size=(batch, seq, d)), requires_grad=True)
+    params = [Tensor(rng.normal(size=shape), requires_grad=True)
+              for shape in ((d, d), (d,), (d, d), (d,), (d, d), (d,),
+                            (d, f), (f,), (f, d), (d,), (d,), (d,))]
+    wq, bq, wk, bk, wv, bv, w_in, b_in, w_out, b_out, gain, bias = params
+    target = rng.normal(size=(batch, seq, d))[:, queries]
+
+    def loss_of_rows(rows):
+        h = x[rows]
+        probs = softmax_rows(attention_scores(h, wq, bq, wk, bk, heads, rows=queries))
+        context = attention_context(probs, linear(h, wv, bv), heads)
+        out = feed_forward(layer_norm(context, gain, bias, 1e-12), w_in, b_in, w_out, b_out)
+        return mse(out, Tensor(target[rows]))
+
+    return loss_of_rows, [x] + params
+
+
+@pytest.mark.parametrize("sizes", [(3, 2), (2, 2), (1, 3, 2), (4, 1)])
+def test_offloaded_weight_grads_equal_inline_backward(sizes):
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for seed in range(5):
+            rng = np.random.default_rng([seed, *sizes])
+            loss_of_rows, leaves = encoder_like_graph(rng, sum(sizes))
+            inline = micro_batch_grads(loss_of_rows, sizes, leaves)
+            offloaded = micro_batch_grads(loss_of_rows, sizes, leaves, pool)
+            for a, b in zip(inline, offloaded):
+                assert np.array_equal(a, b)
+
+
+def test_offloaded_products_of_one_leaf_merge_as_inline():
+    # Three products reach w: the first merge makes a fresh sum, the second
+    # adds into it; both wait for the pending products they merge.
+    rng = np.random.default_rng(31)
+    xs = [rng.normal(size=(4, 2, 3)) for _ in range(3)]
+    w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+
+    def loss_of_rows(rows):
+        outs = [linear(Tensor(x[rows]), w, b) for x in xs]
+        return total(outs[0] * outs[1] + outs[2])
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        offloaded = micro_batch_grads(loss_of_rows, (3, 1), [w, b], pool)
+    inline = micro_batch_grads(loss_of_rows, (3, 1), [w, b])
+    for a, c in zip(inline, offloaded):
+        assert np.array_equal(a, c)
+
+
+def test_leaving_an_offload_scope_settles_or_drops_its_queue():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    x = Tensor(np.ones((1, 2)))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        with offload_weight_grads(pool):
+            backward(total(linear(x, w, Tensor(np.zeros(2)))))
+        assert np.array_equal(w.grad, np.ones((2, 2)))
+        w.grad = None
+        with pytest.raises(RuntimeError, match="^left early$"):
+            with offload_weight_grads(pool):
+                backward(total(linear(x, w, Tensor(np.zeros(2)))))
+                raise RuntimeError("left early")
+        assert w.grad is None
+    # Outside a scope, backward adds into grad at once.
+    backward(total(linear(x, w, Tensor(np.zeros(2)))))
+    assert np.array_equal(w.grad, np.ones((2, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
 """Optimization: schedule values, Adam against a functional replay,
-accumulation invariance, fine-tuning, and evaluation."""
+accumulation invariance and its offloaded error path, fine-tuning, and
+evaluation."""
 
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from cascadekd.corpus import Batch, TokenizerVocab, encode_batch
 from cascadekd.encoder import ClassifierHead, EncoderModel, ModelConfig, init_random
-from cascadekd.errors import ValidationError
+from cascadekd.errors import NonFiniteLossError, ValidationError
 from cascadekd import training
-from cascadekd.tensor import Tensor, linear, mse
+from cascadekd.tensor import Tensor, linear, mse, offload_weight_grads
 from cascadekd.training import (
     PREDICT_SLICE,
     Adam,
@@ -230,6 +232,54 @@ def test_accumulation_frees_each_micro_batch_graph():
     accumulate_and_step(tracking_loss_fn, batch.split(2), opt, 0.1)
     assert earlier_alive == [[False] * i for i in range(4)]
     assert [ref() for ref in graphs] == [None] * 4
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """A single-worker pool that keeps every future it hands out."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.futures = []
+
+    def submit(self, *args, **kwargs):
+        self.futures.append(super().submit(*args, **kwargs))
+        return self.futures[-1]
+
+
+@pytest.mark.parametrize("blocked", [True, False])
+def test_offloaded_accumulation_fails_like_inline_and_leaves_nothing_pending(blocked):
+    # Micro-batch 2 of 3 has a non-finite loss. With the worker blocked,
+    # micro-batch 1's products are still queued when it raises, and are
+    # cancelled; unblocked, each is cancelled, waited for or done.
+    rng = np.random.default_rng(6)
+    table, batch, loss_fn = toy_loss_setup(rng, rows=6)
+    config = OptimizerConfig(peak_lr=0.1, batch_size=6, micro_batch_size=2, epsilon=1e-9)
+
+    def failing_loss_fn(micro):
+        loss = loss_fn(micro)
+        return loss * np.nan if micro is micros[1] else loss
+
+    micros = batch.split(2)
+    with pytest.raises(NonFiniteLossError) as inline:
+        accumulate_and_step(failing_loss_fn, micros, Adam([("table", table)], config), 0.1)
+    table.grad = None
+    release = threading.Event()
+    with RecordingPool() as pool:
+        blocker = pool.submit(release.wait, 30) if blocked else None
+        try:
+            with offload_weight_grads(pool):
+                with pytest.raises(NonFiniteLossError) as offloaded:
+                    accumulate_and_step(failing_loss_fn, micros,
+                                        Adam([("table", table)], config), 0.1)
+                products = [f for f in pool.futures if f is not blocker]
+                assert products and all(f.done() for f in products)
+                if blocked:
+                    assert all(f.cancelled() for f in products)
+                assert table.grad is None
+        finally:
+            release.set()
+    assert str(offloaded.value) == str(inline.value) == "loss is not finite"
+    assert table.grad is None
 
 
 def test_accumulation_rejects_empty_micro_batches():
