@@ -591,3 +591,95 @@ def test_default_chain_writes_pinned_bytes(tmp_path):
                hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.rglob("*") if path.is_file()}
     assert written == DEFAULT_CHAIN_DIGESTS
+
+
+# The pinned chain: a 3-layer, d = 8 teacher shrunk to one layer in two
+# 4-step stages, then fine-tuned and scored, with dropout on throughout.
+PINNED_CHAIN_INI = """\
+[model]
+vocab_size = 64
+hidden_dim = 8
+num_layers = 3
+num_heads = 2
+ffn_dim = 16
+max_seq_len = 8
+dropout_rate = 0.1
+
+[cascade]
+start_depth = 3
+end_depth = 1
+steps_per_stage = 4
+warmup_steps = 1
+
+[pretrain]
+peak_lr = 1e-2
+batch_size = 8
+micro_batch_size = 8
+
+[finetune]
+lr = 1e-2
+epochs = 20
+batch_size = 16
+micro_batch_size = 16
+
+[corpus]
+languages = aa:102400,bb:256
+vocab_size = 64
+"""
+
+# (stage, step, lr, loss) of every metrics.jsonl record.
+PINNED_CHAIN_METRICS = [
+    (0, 0, 0.0, 0.3060968220115565),
+    (0, 1, 0.0025, 0.2941741051163888),
+    (0, 2, 0.005, 0.27825794888469724),
+    (0, 3, 0.0075, 0.2535608677609162),
+    (1, 0, 0.0, 0.47771084975318767),
+    (1, 1, 0.01, 0.4418101608474845),
+    (1, 2, 0.006666666666666667, 0.31565852139230743),
+    (1, 3, 0.0033333333333333335, 0.40046769869738175),
+]
+
+# Losses are pinned to this relative tolerance, not to their bits: CI
+# runners may dispatch other BLAS kernels, which sum in another order.
+# Computing every affine map with `np.einsum` instead of `np.matmul` moved
+# these losses by at most 1.8e-16 relative; the smallest one-line change
+# to the model that the test must catch (layer-norm eps 1e-12 -> 1e-5)
+# moved one by 9.5e-3. The learning rates are closed forms, and the
+# accuracies counts over 32 examples, so both are pinned exactly.
+PINNED_LOSS_RTOL = 1e-8
+
+PINNED_CHAIN_EVAL = """\
+{
+  "average": 0.671875,
+  "label": "1-layer",
+  "per_language": {
+    "aa": 0.6875,
+    "bb": 0.65625
+  }
+}
+"""
+
+
+def test_the_training_commands_write_pinned_numbers(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(PINNED_CHAIN_INI)
+    corpus, task, run = tmp_path / "corpus", tmp_path / "task", tmp_path / "run"
+    result = tmp_path / "eval.json"
+    for argv in (
+            ["gen-corpus", "--config", str(ini), "--out", str(corpus), "--lines", "200"],
+            ["gen-task", "--config", str(ini), "--out", str(task), "--language", "aa",
+             "--train-examples", "48", "--eval-examples", "32"],
+            ["cascade", "--config", str(ini), "--corpus", str(corpus), "--out", str(run)],
+            ["finetune", "--config", str(ini), "--corpus", str(corpus),
+             "--model", str(run / "final"), "--train", str(task / "task_train_aa.tsv"),
+             "--out", str(run)],
+            ["eval", "--corpus", str(corpus), "--model", str(run / "finetuned"),
+             "--out", str(result), str(task / "task_eval_aa.tsv"),
+             str(task / "task_eval_bb.tsv")]):
+        assert main(argv) == 0, argv[0]
+    records = read_metrics(run / "metrics.jsonl")
+    assert [(r["stage"], r["step"], r["lr"]) for r in records] == \
+        [pinned[:3] for pinned in PINNED_CHAIN_METRICS]
+    for record, pinned in zip(records, PINNED_CHAIN_METRICS):
+        assert record["loss"] == pytest.approx(pinned[3], rel=PINNED_LOSS_RTOL, abs=0.0), record
+    assert result.read_text() == PINNED_CHAIN_EVAL
