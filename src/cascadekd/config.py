@@ -39,8 +39,6 @@ class PretrainSection:
     peak_lr: float = 3e-3
     batch_size: int = 16
     micro_batch_size: int = 16
-    beta1: float = 0.9
-    beta2: float = 0.999
     epsilon: float = PRETRAIN_EPSILON
 
 
@@ -61,8 +59,6 @@ class CorpusSection:
     total_lines: int = 20_000
     vocab_size: int = 256
     smoothing_target_ratio: float = 100.0
-    min_words_per_line: int = 3
-    max_words_per_line: int = 8
 
 
 @dataclass(frozen=True)
@@ -134,8 +130,6 @@ class RunConfig:
     def corpus_spec(self) -> CorpusSpec:
         return CorpusSpec.from_sizes(
             self.language_sizes(),
-            min_words_per_line=self.corpus.min_words_per_line,
-            max_words_per_line=self.corpus.max_words_per_line,
             smoothing_target_ratio=self.corpus.smoothing_target_ratio)
 
     def vocabulary(self, lines: Iterable[str] = ()) -> TokenizerVocab:
@@ -148,7 +142,6 @@ class RunConfig:
         return OptimizerConfig(
             peak_lr=self.pretrain.peak_lr, batch_size=self.pretrain.batch_size,
             micro_batch_size=self.pretrain.micro_batch_size,
-            beta1=self.pretrain.beta1, beta2=self.pretrain.beta2,
             epsilon=self.pretrain.epsilon)
 
     def cascade_plan(self, start_depth: int) -> CascadePlan:

@@ -14,7 +14,9 @@ activations are constants: no gradient ever reaches teacher weights.
 
 Padded positions carry arbitrary content, so masked-out positions are
 excluded from the hidden losses and padded query rows / key columns from
-the attention losses; divisors count only included elements.
+the attention losses; divisors count only included elements. The
+objective is one tape node over the student's records, which counts each
+include mask once and forms one target at a time.
 
 `run_stage` runs the teacher's no-grad forwards beside the student's
 passes: a small teacher in a forked child process, one optimizer step
@@ -46,7 +48,7 @@ import numpy as np
 from .corpus import Batch
 from .encoder import EncoderModel, ForwardTrace, ModelConfig
 from .errors import CascadeKDError, DataExhaustedError, NonFiniteLossError, ValidationError
-from .tensor import Tensor, mse, no_grad, offload_weight_grads
+from .tensor import Function, Tensor, no_grad, offload_weight_grads
 from .training import (
     Adam,
     OptimizerConfig,
@@ -87,8 +89,8 @@ def _check_depths(teacher_depth: int, student_depth: int) -> None:
 
 def _check_pair(teacher: ForwardTrace, student: ForwardTrace) -> tuple[np.ndarray, np.ndarray]:
     """Check that `student` is one layer shallower than `teacher`, traced on
-    the same batch with the same shapes. Returns the include masks of the
-    attention terms (query x key) and of the hidden terms."""
+    the same batch (one that keeps a position) with the same shapes. Returns
+    the include masks of the attention (query x key) and hidden terms."""
     _check_depths(teacher.depth, student.depth)
     if (len(teacher.hidden), len(student.hidden)) != (teacher.depth + 1, student.depth + 1):
         raise ValidationError("a trace needs one more hidden output than attention layers")
@@ -96,6 +98,8 @@ def _check_pair(teacher: ForwardTrace, student: ForwardTrace) -> tuple[np.ndarra
     if teacher.attention_mask.shape != mask.shape or \
             not np.array_equal(teacher.attention_mask, mask):
         raise ValidationError("teacher and student traces come from different batches")
+    if not mask.any():
+        raise ValidationError("the traces' mask keeps no position")
     a_shape, h_shape = student.attentions[0].shape, student.hidden[0].shape
     if teacher.attentions[0].shape[1] != a_shape[1]:
         raise ValidationError(
@@ -109,14 +113,49 @@ def _check_pair(teacher: ForwardTrace, student: ForwardTrace) -> tuple[np.ndarra
     return mask[:, None, :, None] & mask[:, None, None, :], mask[:, :, None]
 
 
-def _term(student_t: Tensor, teacher_t: Tensor, teacher_next: Tensor,
-          include: np.ndarray) -> Tensor:
-    """MSE from a student record to the average of two adjacent teacher
-    records; the target is a constant, so no gradient reaches the teacher."""
-    return mse(student_t, (teacher_t.data + teacher_next.data) * 0.5, include=include)
+class DistillObjective(Function):
+    """The per-batch objective as one node over the student's n attention
+    records, then n+1 hidden outputs. Record i's term is `(diff * diff).sum()
+    / count` for `diff = np.where(include, x - target, 0.0)`, `target` the
+    mean of the two arrays `teacher[i]` and `include` its kind's mask in
+    `includes`. The terms are appended to `terms`; the value is their
+    left-to-right sum times 1/n."""
+
+    def forward(self, *records, teacher, includes, terms):
+        n = len(records) // 2
+        counts = [np.count_nonzero(include) * (x.size // include.size)
+                  for include, x in zip(includes, (records[0], records[-1]))]
+        self.scale = 1.0 / n
+        self.diffs, self.counts = [], []
+        total = 0.0
+        for i, (x, (t, t_next), need) in enumerate(zip(records, teacher, self.needs)):
+            kind = int(i >= n)
+            diff = np.where(includes[kind], x - (t + t_next) * 0.5, 0.0)
+            term = float((diff * diff).sum() / counts[kind])
+            total += term
+            terms.append(term)
+            self.diffs.append(diff if need else None)
+            self.counts.append(counts[kind])
+        return np.asarray(total * self.scale)
+
+    def backward(self, g):
+        g = (g * self.scale) * 2.0
+        return tuple(None if diff is None else g * diff / count
+                     for diff, count in zip(self.diffs, self.counts))
 
 
-def distill_terms(teacher: ForwardTrace, student: ForwardTrace) -> list[Tensor]:
+def _objective(teacher: ForwardTrace, student: ForwardTrace) -> tuple[Tensor, list[float]]:
+    """The objective node over a checked trace pair, and its terms."""
+    includes = _check_pair(teacher, student)
+    pairs = [(t.data, t_next.data) for records in (teacher.attentions, teacher.hidden)
+             for t, t_next in zip(records, records[1:])]
+    terms: list[float] = []
+    loss = DistillObjective.apply(*student.attentions, *student.hidden,
+                                  teacher=pairs, includes=includes, terms=terms)
+    return loss, terms
+
+
+def distill_terms(teacher: ForwardTrace, student: ForwardTrace) -> list[float]:
     """The objective's 2n+1 terms, `[attn_1..attn_n, hidden_1..hidden_{n+1}]`.
 
     `attn_j` is the head-averaged MSE between student attention j and the
@@ -124,20 +163,13 @@ def distill_terms(teacher: ForwardTrace, student: ForwardTrace) -> list[Tensor]:
     student hidden output k (1 = embedding output) and the average of
     teacher hidden outputs k and k+1.
     """
-    attn_include, hidden_include = _check_pair(teacher, student)
-    t_attn, t_hidden = teacher.attentions, teacher.hidden
-    terms = [_term(s, t, t_next, attn_include)
-             for s, t, t_next in zip(student.attentions, t_attn, t_attn[1:])]
-    terms += [_term(s, t, t_next, hidden_include)
-              for s, t, t_next in zip(student.hidden, t_hidden, t_hidden[1:])]
-    return terms
+    return _objective(teacher, student)[1]
 
 
 def total_distill_loss(teacher: ForwardTrace, student: ForwardTrace) -> Tensor:
     """Per-batch distillation objective: the mean over the n student layers
-    of the summed `distill_terms`."""
-    terms = distill_terms(teacher, student)
-    return sum(terms[1:], terms[0]) * (1.0 / student.depth)
+    of the summed `distill_terms`, as one tape node."""
+    return _objective(teacher, student)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,10 @@ batch of short lines padded to `max_seq_len` costs what its longest line
 does. Those positions are keys no query attends to and rows no loss
 reads, so the cut changes values only through shorter sums over keys.
 
+A pass's mask enters once: `_embed` checks that every row keeps a
+position and builds the key bias (0 kept, -inf masked) that every
+layer's softmax adds to its scores.
+
 A `classify` pass reads only the first-token ([CLS]) position of the top
 hidden output, so the top layer runs for query row 0 alone: its query
 map, scores, softmax, attention output and everything after it are
@@ -216,19 +220,20 @@ class EncoderModel:
         reproducibly for a given `dropout_seed`; otherwise the pass is
         deterministic.
         """
-        x, mask, drop = self._embed(token_ids, attention_mask, training_mode, dropout_seed)
+        x, mask, bias, drop = self._embed(token_ids, attention_mask, training_mode, dropout_seed)
         hidden = [x]
         attentions = []
         for layer in self.layers:
-            x, attn = self._layer_forward(layer, x, mask, drop)
+            x, attn = self._layer_forward(layer, x, bias, drop)
             hidden.append(x)
             attentions.append(attn)
         return ForwardTrace(hidden=hidden, attentions=attentions, attention_mask=mask)
 
     def _embed(self, token_ids, attention_mask, training_mode: bool, dropout_seed: int):
         """Check the inputs and compute the embedding output at the columns
-        the batch uses; returns it with the boolean mask of those columns
-        and the pass's dropout function."""
+        the batch uses; returns it with the boolean mask of those columns,
+        the pass's (B, 1, 1, T) key bias (0 kept, -inf masked) and its
+        dropout function."""
         token_ids = np.asarray(token_ids, dtype=np.int64)
         mask = np.asarray(attention_mask, dtype=bool)
         if token_ids.ndim != 2:
@@ -244,18 +249,21 @@ class EncoderModel:
                 f"sequence length {seq_len} exceeds max {self.config.max_seq_len}")
         if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= self.config.vocab_size):
             raise ValidationError("token id outside [0, vocab_size)")
+        if not mask.any(axis=1).all():
+            raise ValidationError("attention_mask has a row with every entry masked")
 
         width = _computed_width(mask)
         token_ids, mask = token_ids[:, :width], mask[:, :width]
+        key_bias = np.where(mask, 0.0, -np.inf)[:, None, None, :]
         drop = _dropout(self.config.dropout_rate if training_mode else 0.0, dropout_seed,
                         (batch, seq_len, self.config.hidden_dim))
 
         x = Tensor(self.token_embeddings.data[token_ids]
                    + self.position_embeddings.data[:width])
         x = layer_norm(x, self.emb_ln_gain, self.emb_ln_bias, LAYER_NORM_EPS)
-        return drop(x), mask, drop
+        return drop(x), mask, key_bias, drop
 
-    def _layer_forward(self, layer: EncoderLayer, x: Tensor, mask: np.ndarray,
+    def _layer_forward(self, layer: EncoderLayer, x: Tensor, key_bias: np.ndarray,
                        drop: Callable[[Tensor], Tensor],
                        rows: slice = _ALL_ROWS) -> tuple[Tensor, Tensor]:
         """One layer on a (B, T, d) input, computed at the query positions
@@ -264,7 +272,7 @@ class EncoderModel:
         cfg = self.config
         scores = attention_scores(x, layer.wq, layer.bq, layer.wk, layer.bk, cfg.num_heads,
                                   rows=rows)
-        probs = softmax_rows(scores, mask=mask[:, None, None, :])
+        probs = softmax_rows(scores, key_bias)
         context = attention_context(probs, linear(x, layer.wv, layer.bv), cfg.num_heads)
         if rows != _ALL_ROWS:
             x = x[:, rows]  # the residual's rows
@@ -279,8 +287,7 @@ class EncoderModel:
 
 def _computed_width(mask: np.ndarray) -> int:
     """Columns a pass computes for a (B, T) mask: up to the last one that
-    any row keeps, and at least one, so an all-masked row still fails and
-    an empty batch still runs."""
+    any row keeps, and at least one, so an empty batch still runs."""
     used = np.flatnonzero(mask.any(axis=0))
     return min(mask.shape[1], int(used[-1]) + 1 if used.size else 1)
 
@@ -348,9 +355,9 @@ def classify(model: EncoderModel, head: ClassifierHead, token_ids, attention_mas
     if head.hidden_dim != model.config.hidden_dim:
         raise ValidationError(
             f"head dim {head.hidden_dim} != model hidden dim {model.config.hidden_dim}")
-    x, mask, drop = model._embed(token_ids, attention_mask, training_mode, dropout_seed)
+    x, _, key_bias, drop = model._embed(token_ids, attention_mask, training_mode, dropout_seed)
     for i, layer in enumerate(model.layers):
         rows = _CLS_ROW if i == model.num_layers - 1 else _ALL_ROWS
-        x, _ = model._layer_forward(layer, x, mask, drop, rows)
+        x, _ = model._layer_forward(layer, x, key_bias, drop, rows)
     pooled = linear(x[:, 0, :], head.pooler_w, head.pooler_b).tanh()
     return linear(pooled, head.out_w, head.out_b)

@@ -16,7 +16,10 @@ compute what only its gradient would use.
 The encoder's sublayers are single fused nodes: `Linear`, `LayerNorm`,
 `AttentionScores`, `AttentionContext` and `FeedForward`. Each forward pass
 runs the numpy operations of its step-by-step composition in the same
-order, so its values are bit-equal to that composition.
+order, so its values are bit-equal to that composition. The softmax
+between scores and context masks by an additive bias, 0 where an entry
+is kept and -inf where it is masked. Every softmax row must keep one
+entry; the encoder checks that once per pass, where its mask enters.
 
 Weight gradients can run on another thread. Inside
 `offload_weight_grads(executor)`, each weight-gradient product `xᵀg` of a
@@ -633,15 +636,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class SoftmaxRows(Function):
-    def forward(self, x, mask):
-        if mask is not None:
-            keep = np.broadcast_to(mask, x.shape)
-            if not keep.any(axis=-1).all():
-                raise ValidationError("softmax row with every entry masked")
-            shifted = np.where(keep, x, -np.inf)
-        else:
-            shifted = x
-        shifted = shifted - shifted.max(axis=-1, keepdims=True)
+    def forward(self, x, bias):
+        shifted = x + bias
+        shifted -= shifted.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         self.out = e / e.sum(axis=-1, keepdims=True)
         return self.out
@@ -651,47 +648,15 @@ class SoftmaxRows(Function):
         return (self.out * (g - inner),)
 
 
-def softmax_rows(x: Tensor, mask=None) -> Tensor:
-    """Numerically stable softmax over the last axis.
+def softmax_rows(x: Tensor, bias=0.0) -> Tensor:
+    """Numerically stable softmax over the last axis of `x + bias`.
 
-    `mask` is boolean, broadcastable to `x`; masked entries come out
-    exactly zero and each row is normalized over its unmasked entries.
+    `bias` is a constant that broadcasts to `x`: 0 keeps an entry and
+    -inf masks it, so masked entries come out exactly zero and each row is
+    normalized over the entries it keeps. Every row must keep one entry;
+    that is not checked here (the encoder checks its mask once per pass).
     """
-    if mask is not None:
-        mask = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=bool)
-    return SoftmaxRows.apply(x, mask=mask)
-
-
-class Mse(Function):
-    """Mean squared error over the elements selected by `include` (all
-    when None); the divisor is the count of included elements, and
-    excluded elements add exactly 0 to the value and the gradient."""
-
-    def forward(self, x, y, include):
-        if x.shape != y.shape:
-            raise ValidationError(f"mse shapes differ: {x.shape} vs {y.shape}")
-        if x.size == 0:
-            raise ValidationError("mse of empty tensors")
-        self.diff = x - y
-        self.n = x.size
-        if include is not None:
-            try:
-                include = np.broadcast_to(np.asarray(include, dtype=bool), x.shape)
-            except ValueError:
-                raise ValidationError(f"mse mask does not broadcast to {x.shape}") from None
-            self.n = int(np.count_nonzero(include))
-            if self.n == 0:
-                raise ValidationError("mse with every element excluded")
-            self.diff = np.where(include, self.diff, 0.0)
-        return np.asarray((self.diff * self.diff).sum() / self.n)
-
-    def backward(self, g):
-        base = g * 2.0 * self.diff / self.n
-        return (base if self.needs[0] else None), (-base if self.needs[1] else None)
-
-
-def mse(x: Tensor, y: Tensor, include=None) -> Tensor:
-    return Mse.apply(_as_tensor(x), _as_tensor(y), include=include)
+    return SoftmaxRows.apply(x, bias=bias)
 
 
 class CrossEntropy(Function):

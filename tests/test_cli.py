@@ -459,11 +459,15 @@ def test_an_ini_that_configparser_rejects_exits_one(tmp_path, capsys, text, reas
     ("pretrain", "embeddings_frozen", "True"),
     ("pretrain", "weight_decay", "0.0"),
     ("pretrain", "dropout", "off"),
-    ("finetune", "dropout", "off")])
+    ("finetune", "dropout", "off"),
+    ("pretrain", "beta1", "0.9"),
+    ("pretrain", "beta2", "0.999"),
+    ("corpus", "min_words_per_line", "3"),
+    ("corpus", "max_words_per_line", "8")])
 def test_a_removed_key_is_an_unknown_key(tmp_path, capsys, section, key, value):
     # An INI written before these keys were removed fails loudly: the first
-    # three are fixed choices now, and `--deterministic` or `[model]
-    # dropout_rate` turns dropout off.
+    # three and the last four are fixed choices now, and `--deterministic`
+    # or `[model] dropout_rate` turns dropout off.
     ini = tmp_path / "old.ini"
     ini.write_text(f"[{section}]\n{key} = {value}\n")
     out = tmp_path / "out.ini"
@@ -564,11 +568,12 @@ def test_report_rejects_a_malformed_eval_result(tmp_path, capsys, payload):
 # language table became `CorpusSpec.sampling_probabilities`; a refactor
 # of corpus or task generation must not move them. `config.ini` was
 # re-recorded when `[model] attention_capture`, `[pretrain] weight_decay`
-# and `[pretrain] embeddings_frozen` were removed, and again when
-# `[pretrain] dropout` and `[finetune] dropout` were; every other file
-# kept its digest.
+# and `[pretrain] embeddings_frozen` were removed, again when
+# `[pretrain] dropout` and `[finetune] dropout` were, and again when
+# `[pretrain] beta1` and `beta2` and `[corpus] min_words_per_line` and
+# `max_words_per_line` were; every other file kept its digest.
 DEFAULT_CHAIN_DIGESTS = {
-    "config.ini": "adf4bc9fa182f2d4a2e0c78ffa4e4f26a44a977d221773ea8e9883d9d57ceb46",
+    "config.ini": "e3b261b53ed6d9e82363366ad22dcb4f63609d7bc4b5f936496ec440b0ffcf86",
     "corpus/corpus.tsv": "dc423a15c2288ac4eae6e7a5c54003f91cd9ee7a953715613c74447c12b7b6a1",
     "corpus/languages.csv": "fd9a0c8c8d17c342c5dd1322cd395b2a0b2c2fda0ea64b9ab6b79d0d2c38a10e",
     "corpus/vocab.json": "89056552af316627722ea875106d8236ada9073230a17d8ad87b8d0330bc9b2d",

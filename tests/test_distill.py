@@ -2,8 +2,10 @@
 losses against hand values and an explicit-loop reference, stage and
 cascade execution, and the pipelined teacher's contract."""
 
+import functools
 import itertools
 import math
+import operator
 import multiprocessing
 import os
 import signal
@@ -169,7 +171,7 @@ def test_attention_loss_hand_value():
     teacher, student = one_position_traces(
         t_attn_pairs=[[0.3], [0.5]], s_attn=[[0.5]],
         t_hidden=[0.0, 0.0, 0.0], s_hidden=[0.0, 0.0])
-    assert np.isclose(distill_terms(teacher, student)[0].item(), 0.01)
+    assert np.isclose(distill_terms(teacher, student)[0], 0.01)
 
 
 def test_attention_loss_averages_heads():
@@ -177,7 +179,7 @@ def test_attention_loss_averages_heads():
     teacher, student = one_position_traces(
         t_attn_pairs=[[0.3, 1.0], [0.5, 0.6]], s_attn=[[0.5, 1.1]],
         t_hidden=[0.0, 0.0, 0.0], s_hidden=[0.0, 0.0])
-    assert np.isclose(distill_terms(teacher, student)[0].item(), (0.01 + 0.09) / 2.0)
+    assert np.isclose(distill_terms(teacher, student)[0], (0.01 + 0.09) / 2.0)
 
 
 def test_hidden_loss_hand_value():
@@ -186,7 +188,7 @@ def test_hidden_loss_hand_value():
         t_attn_pairs=[[0.0], [0.0]], s_attn=[[0.0]],
         t_hidden=[1.0, 3.0, 0.0], s_hidden=[1.0, 0.0])
     # terms: attn_1, hidden_1, hidden_2
-    assert np.isclose(distill_terms(teacher, student)[1].item(), 1.0)
+    assert np.isclose(distill_terms(teacher, student)[1], 1.0)
 
 
 def test_total_loss_hand_value():
@@ -221,15 +223,23 @@ def test_loss_rejects_mismatched_traces():
     short = trace_from_arrays(t_hidden[:-1], t_attn, mask)
     with pytest.raises(ValidationError, match="one more hidden output than attention layers"):
         total_distill_loss(short, student)
+    nothing = np.zeros_like(mask)
+    for loss in (distill_terms, total_distill_loss):
+        with pytest.raises(ValidationError, match="mask keeps no position"):
+            loss(trace_from_arrays(t_hidden, t_attn, nothing),
+                 trace_from_arrays(s_hidden, s_attn, nothing))
 
 
 def test_total_loss_is_the_mean_of_the_layer_losses():
+    # Bit for bit: the terms summed left to right, times 1/n.
     rng = np.random.default_rng(12)
     for n in (1, 2, 3):
-        teacher, student, _ = random_trace_pair(rng, n=n)
-        terms = [t.item() for t in distill_terms(teacher, student)]
-        assert len(terms) == 2 * n + 1
-        assert total_distill_loss(teacher, student).item() == sum(terms) * (1.0 / n)
+        for padded in (False, True):
+            teacher, student, _ = random_trace_pair(rng, n=n, padded=padded)
+            terms = distill_terms(teacher, student)
+            assert len(terms) == 2 * n + 1 and all(type(t) is float for t in terms)
+            want = functools.reduce(operator.add, terms) * (1.0 / n)
+            assert total_distill_loss(teacher, student).item() == want
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cascadekd import encoder, tensor
+from cascadekd import distill, encoder, tensor
 from cascadekd.checkpoint import WEIGHTS_NAME, load_checkpoint, save_checkpoint
 from cascadekd.corpus import Batch
 from cascadekd.distill import top_layer_init, total_distill_loss
@@ -31,7 +31,6 @@ from cascadekd.tensor import (
     feed_forward,
     layer_norm,
     linear,
-    mse,
     no_grad,
     softmax_rows,
 )
@@ -102,7 +101,7 @@ def test_padded_positions_move_neither_loss_nor_student_gradients(case, scale):
 # ---------------------------------------------------------------------------
 # finite-difference agreement of every tape op
 # ---------------------------------------------------------------------------
-# One row per `Function` subclass of `tensor.py`. A row draws an op's
+# One row per `Function` subclass of `tensor.py` and `distill.py`. A row draws an op's
 # shapes and inputs, and returns a scalar `build()` over the op, the inputs
 # and the FD step. Each input is drawn either as a constant or as needing a
 # gradient, with at least one needing it.
@@ -164,23 +163,29 @@ def _softmax_rows_row(draw, rng):
     lead, n = _lead(draw), draw(st.integers(1, 5))
     x, = _inputs(draw, rng, [(*lead, n)])
     x.data *= 3.0
-    mask = None
-    form = draw(st.sampled_from(("none", "keys", "full")), label="mask")
+    bias = 0.0
+    form = draw(st.sampled_from(("none", "keys", "full")), label="bias")
     if form != "none":
-        mask = rng.random((n,) if form == "keys" else (*lead, n)) < 0.6
-        mask[..., rng.integers(n)] = True  # every row keeps an entry
+        keep = rng.random((n,) if form == "keys" else (*lead, n)) < 0.6
+        keep[..., rng.integers(n)] = True  # every row keeps an entry
+        bias = np.where(keep, 0.0, -np.inf)
     weights = rng.normal(size=(*lead, n))
-    return lambda: total(softmax_rows(x, mask=mask), weights), [x], FD_STEP
+    return lambda: total(softmax_rows(x, bias), weights), [x], FD_STEP
 
 
-def _mse_row(draw, rng):
-    shape = (*_lead(draw), draw(st.integers(1, 4)))
-    x, y = _inputs(draw, rng, [shape, shape])
-    include = None
-    if draw(st.booleans(), label="masked"):
-        include = rng.random((*shape[:-1], 1)) < 0.5  # broadcast over the last axis
-        include.flat[rng.integers(include.size)] = True
-    return lambda: mse(x, y, include=include), [x, y], FD_STEP
+def _distill_objective_row(draw, rng):
+    # The student's records of an (n+1) -> n pair under a padded mask.
+    n, batch, seq = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    heads, dim = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, seq), min_size=batch, max_size=batch),
+                   label="lengths")
+    mask = np.arange(seq)[None, :] < np.array(lengths)[:, None]
+    attention, hidden = (batch, heads, seq, seq), (batch, seq, dim)
+    records = _inputs(draw, rng, [attention] * n + [hidden] * (n + 1))
+    teacher = ForwardTrace([Tensor(rng.normal(size=hidden)) for _ in range(n + 2)],
+                           [Tensor(rng.normal(size=attention)) for _ in range(n + 1)], mask)
+    student = ForwardTrace(records[n:], records[:n], mask)
+    return lambda: total_distill_loss(teacher, student), records, FD_STEP
 
 
 def _cross_entropy_row(draw, rng):
@@ -245,20 +250,21 @@ FD_ROWS = {
     tensor.Tanh: _tanh_row,
     tensor.Slice: _slice_row,
     tensor.SoftmaxRows: _softmax_rows_row,
-    tensor.Mse: _mse_row,
     tensor.CrossEntropy: _cross_entropy_row,
     tensor.Linear: _linear_row,
     tensor.LayerNorm: _layer_norm_row,
     tensor.AttentionScores: _attention_scores_row,
     tensor.AttentionContext: _attention_context_row,
     tensor.FeedForward: _feed_forward_row,
+    distill.DistillObjective: _distill_objective_row,
 }
 
 
 def test_fd_table_has_a_row_for_every_tape_op():
-    defined = {cls for _, cls in inspect.getmembers(tensor, inspect.isclass)
+    defined = {cls for module in (tensor, distill)
+               for _, cls in inspect.getmembers(module, inspect.isclass)
                if issubclass(cls, tensor.Function) and cls is not tensor.Function
-               and cls.__module__ == tensor.__name__}
+               and cls.__module__ == module.__name__}
     assert set(FD_ROWS) == defined
 
 
@@ -302,13 +308,13 @@ def test_layer_norm_matches_finite_differences(lead, dim, scale, seed):
 
 @st.composite
 def attention_case(draw):
-    """Shapes of one attention sublayer and a key mask whose rows keep a
+    """Shapes of one attention sublayer and a key bias whose rows keep a
     random-length prefix (at least one real position)."""
     batch, seq = draw(st.integers(1, 2)), draw(st.integers(1, 4))
     heads, head_dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     lengths = draw(st.lists(st.integers(1, seq), min_size=batch, max_size=batch))
     mask = np.arange(seq)[None, :] < np.array(lengths)[:, None]
-    return batch, seq, heads, heads * head_dim, mask[:, None, None, :]
+    return batch, seq, heads, heads * head_dim, np.where(mask, 0.0, -np.inf)[:, None, None, :]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -330,7 +336,7 @@ def test_attention_scores_match_finite_differences(case, constant_x, seed):
 @given(case=attention_case(), constant_probs=st.booleans(), data=st.data(),
        seed=st.integers(0, 2**32 - 1))
 def test_attention_context_matches_finite_differences(case, constant_probs, data, seed):
-    batch, seq, heads, d, key_mask = case
+    batch, seq, heads, d, key_bias = case
     query_rows = data.draw(st.integers(1, seq), label="query_rows")
     rng = np.random.default_rng(seed)
     logits = Tensor(rng.normal(size=(batch, heads, query_rows, seq)),
@@ -339,7 +345,7 @@ def test_attention_context_matches_finite_differences(case, constant_probs, data
     weights = rng.normal(size=(batch, query_rows, d))
 
     def build():
-        probs = softmax_rows(logits, mask=key_mask)
+        probs = softmax_rows(logits, key_bias)
         if constant_probs:
             probs = Tensor(probs.data)
         return total(attention_context(probs, v, heads), weights)

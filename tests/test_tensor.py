@@ -9,7 +9,7 @@ import platform
 import subprocess
 import sys
 import threading
-import weakref
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
@@ -30,7 +30,6 @@ from cascadekd.tensor import (
     feed_forward,
     layer_norm,
     linear,
-    mse,
     no_grad,
     offload_weight_grads,
     settle_weight_grads,
@@ -38,6 +37,7 @@ from cascadekd.tensor import (
 )
 
 from oracles import fd_denominator_floor, finite_difference_grad, max_relative_error, total
+from test_distill import one_position_traces, random_trace_pair
 
 
 def check_grads(build, tensors, tol=1e-6, h=1e-5):
@@ -110,43 +110,10 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_softmax_masked_entries_are_exact_zeros():
-    mask = np.array([[True, True, False, False]])
-    out = softmax_rows(Tensor(np.ones((1, 4))), mask=mask)
+    bias = np.array([[0.0, 0.0, -np.inf, -np.inf]])
+    out = softmax_rows(Tensor(np.ones((1, 4))), bias)
     assert np.all(out.data[0, 2:] == 0.0)
     assert np.isclose(out.data[0, :2].sum(), 1.0)
-
-
-def test_softmax_all_masked_row_raises():
-    mask = np.zeros((1, 3), dtype=bool)
-    with pytest.raises(ValidationError, match="every entry masked"):
-        softmax_rows(Tensor(np.ones((1, 3))), mask=mask)
-
-
-def test_mse_values_and_errors():
-    assert mse(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).item() == 0.0
-    assert mse(Tensor([3.0]), Tensor([0.0])).item() == 9.0
-    assert np.isclose(mse(Tensor([[1.0, 3.0]]), Tensor([[0.0, 0.0]])).item(), 5.0)
-    with pytest.raises(ValidationError, match="mse shapes differ"):
-        mse(Tensor([1.0, 2.0]), Tensor([[1.0, 2.0]]))
-    with pytest.raises(ValidationError, match="mse of empty tensors"):
-        mse(Tensor(np.zeros((0, 2))), Tensor(np.zeros((0, 2))))
-    with pytest.raises(ValidationError, match="mse mask does not broadcast"):
-        mse(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), include=np.ones(2, dtype=bool))
-    with pytest.raises(ValidationError, match="every element excluded"):
-        mse(Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 3))), include=np.zeros((2, 1), dtype=bool))
-
-
-def test_masked_mse_equals_explicit_masked_mean():
-    rng = np.random.default_rng(8)
-    x, y = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
-    include = rng.random((2, 3, 1)) < 0.6
-    include[0, 0, 0] = True
-    full = np.broadcast_to(include, x.shape)
-    expected = ((x - y) ** 2)[full].mean()
-    assert np.isclose(mse(Tensor(x), Tensor(y), include=include).item(), expected,
-                      rtol=1e-14, atol=0.0)
-    everything = np.ones((2, 3, 4), dtype=bool)
-    assert mse(Tensor(x), Tensor(y), include=everything).item() == mse(Tensor(x), Tensor(y)).item()
 
 
 def test_cross_entropy_values():
@@ -391,25 +358,30 @@ def test_no_grad_in_one_thread_leaves_another_recording():
     assert np.array_equal(x.grad, [2.0])
 
 
-def test_distillation_targets_are_freed_while_the_loss_is_alive(monkeypatch):
-    targets = []
-
-    def recording_mse(x, y, include=None):
-        targets.append(weakref.ref(y))
-        return mse(x, y, include=include)
-
-    monkeypatch.setattr(distill, "mse", recording_mse)
+def test_distillation_targets_are_freed_while_the_loss_is_alive():
+    # The objective keeps each record's masked difference for backward and
+    # forms one target at a time: once built it holds no target, and while
+    # building it held at most one target and two temporaries beyond the
+    # differences. Keeping every target would hold 2(2n+1) arrays.
     rng = np.random.default_rng(28)
-    mask = np.array([[True, True, False]])
-    teacher = distill.ForwardTrace([Tensor(rng.normal(size=(1, 3, 2))) for _ in range(3)],
-                                   [Tensor(rng.normal(size=(1, 2, 3, 3))) for _ in range(2)],
+    n, hidden, attention = 3, (4, 32, 64), (4, 2, 32, 32)  # equal sizes
+    mask = np.ones((4, 32), dtype=bool)
+    mask[1, 20:] = False
+    teacher = distill.ForwardTrace([Tensor(rng.normal(size=hidden)) for _ in range(n + 2)],
+                                   [Tensor(rng.normal(size=attention)) for _ in range(n + 1)],
                                    mask)
     student = distill.ForwardTrace(
-        [Tensor(rng.normal(size=(1, 3, 2)), requires_grad=True) for _ in range(2)],
-        [Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)], mask)
-    loss = distill.total_distill_loss(teacher, student)
-    assert len(targets) == 3
-    assert all(ref() is None for ref in targets)
+        [Tensor(rng.normal(size=hidden), requires_grad=True) for _ in range(n + 1)],
+        [Tensor(rng.normal(size=attention), requires_grad=True) for _ in range(n)], mask)
+    size, records = teacher.hidden[0].data.nbytes, 2 * n + 1
+    tracemalloc.start()
+    try:
+        loss = distill.total_distill_loss(teacher, student)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < (records + 0.5) * size
+    assert peak < (records + 2.5) * size
     backward(loss)
     assert all(t.grad is not None for t in student.hidden + student.attentions)
 
@@ -422,20 +394,41 @@ def test_product_with_a_constant_gives_the_constant_times_upstream():
     assert np.array_equal(x.grad, g * c)
 
 
+def student_records(student):
+    """The student trace's records, each now needing a gradient."""
+    records = student.hidden + student.attentions
+    for t in records:
+        t.requires_grad = True
+    return records
+
+
 def test_mse_excluded_entries_get_exact_zero_gradient():
+    # The objective's masked MSE: padded positions of large records get an
+    # exact zero gradient, and every included entry a nonzero one.
     rng = np.random.default_rng(9)
-    x = Tensor(rng.normal(size=(3, 4)) * 1e6, requires_grad=True)
-    y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    include = np.array([[True], [False], [True]])
-    backward(mse(x, y, include=include))
-    assert np.all(x.grad[1] == 0.0) and np.all(y.grad[1] == 0.0)
-    assert np.all(x.grad[[0, 2]] != 0.0)
+    teacher, student, arrays = random_trace_pair(rng, n=2)
+    mask = arrays[-1]
+    assert not mask.all()
+    for t in student_records(student):
+        t.data *= 1e6
+    backward(distill.total_distill_loss(teacher, student))
+    attention_include = mask[:, None, :, None] & mask[:, None, None, :]
+    for records, include in ((student.hidden, mask[:, :, None]),
+                             (student.attentions, attention_include)):
+        for t in records:
+            included = np.broadcast_to(include, t.shape)
+            assert np.all(t.grad[~included] == 0.0) and np.all(t.grad[included] != 0.0)
 
 
 def test_mse_hand_gradient():
-    p = Tensor([3.0], requires_grad=True)
-    backward(mse(p, Tensor([0.0])))
-    assert np.allclose(p.grad, [6.0])
+    # Student hidden output 1 at 3 against a teacher mean of 0, n = 1: its
+    # term is 9, and its gradient (1/n) * 2 * 3 / 1 = 6.
+    teacher, student = one_position_traces(
+        t_attn_pairs=[[0.0], [0.0]], s_attn=[[0.0]],
+        t_hidden=[0.0, 0.0, 0.0], s_hidden=[3.0, 0.0])
+    student_records(student)
+    backward(distill.total_distill_loss(teacher, student))
+    assert np.allclose(student.hidden[0].grad, [[[6.0]]])
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +472,8 @@ def encoder_like_graph(rng, batch):
         probs = softmax_rows(attention_scores(h, wq, bq, wk, bk, heads, rows=queries))
         context = attention_context(probs, linear(h, wv, bv), heads)
         out = feed_forward(layer_norm(context, gain, bias, 1e-12), w_in, b_in, w_out, b_out)
-        return mse(out, Tensor(target[rows]))
+        diff = out + Tensor(-target[rows])
+        return total(diff * diff)
 
     return loss_of_rows, [x] + params
 
@@ -538,18 +532,12 @@ def test_leaving_an_offload_scope_settles_or_drops_its_queue():
 # ---------------------------------------------------------------------------
 
 def test_mse_grads():
+    # The objective's masked MSE terms, with and without padding.
     rng = np.random.default_rng(6)
     for i in range(6):
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        include = None if i % 2 else rng.random((3, 1)) < 0.5
-        if include is not None:
-            include[0] = True
-
-        def build():
-            return mse(x, y, include=include)
-
-        check_grads(build, [x, y])
+        teacher, student, _ = random_trace_pair(rng, n=1 + i % 3, padded=bool(i % 2))
+        check_grads(lambda: distill.total_distill_loss(teacher, student),
+                    student_records(student))
 
 
 def test_cross_entropy_grads():
@@ -568,6 +556,7 @@ def test_composite_graph_grads():
     # one graph exercising every op the encoder uses
     rng = np.random.default_rng(9)
     mask = np.array([[True, True, True], [True, False, False]])
+    key_bias = np.where(mask, 0.0, -np.inf)[:, None, None, :]
     keep = (rng.random((2, 3, 4)) >= 0.2) / 0.8
     for _ in range(3):
         x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
@@ -579,10 +568,11 @@ def test_composite_graph_grads():
 
         def build():
             scores = attention_scores(x, wq, bq, wk, bk, heads=2)
-            probs = softmax_rows(scores, mask=mask[:, None, None, :])
+            probs = softmax_rows(scores, key_bias)
             context = attention_context(probs, linear(x, wv, bv), heads=2)
             h = layer_norm(x + context * Tensor(keep), gain, bias, 1e-12)
             out = feed_forward(h, w_in, b_in, w_out, b_out)
-            return mse(out, Tensor(target), include=mask[:, :, None])
+            diff = out + Tensor(-target)
+            return total(diff * diff, mask[:, :, None])
 
         check_grads(build, [x] + params)
