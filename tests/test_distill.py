@@ -5,8 +5,8 @@ cascade execution, and the pipelined teacher's contract."""
 import functools
 import itertools
 import math
-import operator
 import multiprocessing
+import operator
 import os
 import signal
 import sys

@@ -101,10 +101,10 @@ def test_padded_positions_move_neither_loss_nor_student_gradients(case, scale):
 # ---------------------------------------------------------------------------
 # finite-difference agreement of every tape op
 # ---------------------------------------------------------------------------
-# One row per `Function` subclass of `tensor.py` and `distill.py`. A row draws an op's
-# shapes and inputs, and returns a scalar `build()` over the op, the inputs
-# and the FD step. Each input is drawn either as a constant or as needing a
-# gradient, with at least one needing it.
+# One row per `Function` subclass of `tensor.py` and `distill.py`. A row
+# draws an op's shapes and inputs, and returns a scalar `build()` over the
+# op, the inputs and the FD step. Each input is drawn either as a constant
+# or as needing a gradient, with at least one needing it.
 
 FD_STEP = 1e-5
 
